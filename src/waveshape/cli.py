@@ -29,7 +29,7 @@ from .manipulation import (ManipulationPlan, boundary_discontinuity, manipulate,
 from .metrics import (DEFAULT_SURFACE_SAMPLES, chamfer, lfd_percentiles,
                       retrieve_topk, sample_surface, set_metrics,
                       silhouette_descriptors)
-from .surface import marching_cubes, mesh_stats
+from .surface import marching_cubes
 from .tsdf import (MeshSdfSource, TriangleMesh, load_scene, normalize_mesh,
                    read_obj, sample_tsdf, write_obj)
 from .wavelet import (compactness_report, get_bank, pyramid_decompose,

@@ -372,9 +372,12 @@ def read_oracle_corpus(dir_path, sched: NoiseSchedule | None = None) -> Gaussian
         raise ValidationError(f"corpus manifest malformed: {exc}") from exc
     comps = []
     anchors = []
-    for e in entries:
-        comps.append((float(e["weight"]), read_volume(d / e["path"])))
-        anchors.append(e.get("anchor"))
+    try:
+        for e in entries:
+            comps.append((float(e["weight"]), read_volume(d / e["path"])))
+            anchors.append(e.get("anchor"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"corpus entry malformed: {exc!r}") from exc
     has_anchors = all(a is not None for a in anchors) and anchors
     return GaussianMixtureOracle(
         comps,

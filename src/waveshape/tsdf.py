@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import OutOfDomainError, ValidationError
+from .errors import ValidationError
 from .formats import read_json
 from .grid import Volume3
 
@@ -576,23 +576,26 @@ def read_obj(path) -> TriangleMesh:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "v":
-            if len(parts) < 4:
-                raise ValidationError(f"{path}:{line_no}: malformed vertex")
-            verts.append([float(x) for x in parts[1:4]])
-        elif parts[0] == "f":
-            idx = []
-            for token in parts[1:]:
-                head = token.split("/")[0]
-                i = int(head)
-                if i < 0:
-                    i = len(verts) + 1 + i
-                idx.append(i - 1)
-            if len(idx) < 3:
-                raise ValidationError(f"{path}:{line_no}: face needs >= 3 vertices")
-            for k in range(1, len(idx) - 1):
-                tris.append([idx[0], idx[k], idx[k + 1]])
-        # all other records (vn, vt, usemtl, ...) are ignored
+        try:
+            if parts[0] == "v":
+                if len(parts) < 4:
+                    raise ValidationError(f"{path}:{line_no}: malformed vertex")
+                verts.append([float(x) for x in parts[1:4]])
+            elif parts[0] == "f":
+                idx = []
+                for token in parts[1:]:
+                    i = int(token.split("/")[0])
+                    if i < 0:
+                        i = len(verts) + 1 + i
+                    idx.append(i - 1)
+                if len(idx) < 3:
+                    raise ValidationError(
+                        f"{path}:{line_no}: face needs >= 3 vertices")
+                for k in range(1, len(idx) - 1):
+                    tris.append([idx[0], idx[k], idx[k + 1]])
+            # all other records (vn, vt, usemtl, ...) are ignored
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{line_no}: {exc}") from exc
     if not verts:
         raise ValidationError(f"{path}: no vertices")
     return TriangleMesh(np.array(verts, dtype=np.float64),

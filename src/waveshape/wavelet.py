@@ -75,7 +75,6 @@ class _Filter:
 def _modulate_shift(f: _Filter, shift: int) -> _Filter:
     # out(z) = z^shift * f(-z): tap at position m equals (-1)^(m+shift) f[m+shift]
     pos = np.arange(len(f.taps)) - f.origin
-    out_pos = pos - shift
     signs = np.where((pos % 2) == 0, 1.0, -1.0)
     return _Filter(f.taps * signs, f.origin + shift)
 
@@ -499,16 +498,24 @@ def write_wsp1(path, p: WaveletPyramid) -> None:
             _write_wsv1_stream(fh, d, wide=True)
 
 
+def _read_header(fh, fmt: str) -> tuple:
+    raw = fh.read(struct.calcsize(fmt))
+    if len(raw) != struct.calcsize(fmt):
+        raise ValidationError("truncated WSP1 header")
+    return struct.unpack(fmt, raw)
+
+
 def read_wsp1(path) -> WaveletPyramid:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC_PYRAMID:
             raise ValidationError(f"bad magic {magic!r}, expected {MAGIC_PYRAMID!r}")
-        J, name_len = struct.unpack("<IB", fh.read(5))
-        bank_name = fh.read(name_len).decode("utf-8")
-        dims_table = tuple(
-            struct.unpack("<3I", fh.read(12)) for _ in range(J + 1)
-        )
+        J, name_len = _read_header(fh, "<IB")
+        try:
+            bank_name = fh.read(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"WSP1 bank name is not UTF-8 ({exc})") from exc
+        dims_table = tuple(_read_header(fh, "<3I") for _ in range(J + 1))
         coarse = _read_wsv1_stream(fh)
         details = tuple(_read_wsv1_stream(fh) for _ in range(J))
     get_bank(bank_name)  # validate known bank

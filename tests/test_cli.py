@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -53,6 +54,58 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
                  "--out", tmp_path / "o")
     assert rc == 2
     assert "validation error" in capsys.readouterr().err
+
+
+def _model_copy_with_entry(tmp_path, model_manifest, **change):
+    shutil.copytree(model_manifest.parent, tmp_path / "m")
+    corpus = tmp_path / "m" / "corpus" / "corpus.json"
+    payload = json.loads(corpus.read_text())
+    entry = payload["components"][0]
+    for key, value in change.items():
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+    corpus.write_text(json.dumps(payload))
+    return ["generate", "--model", tmp_path / "m" / "model.json",
+            "--out", tmp_path / "o"]
+
+
+def _wsp1_with(tmp_path, blob):
+    path = tmp_path / "bad.wsp1"
+    path.write_bytes(blob)
+    return ["reconstruct", "--input", path, "--out", tmp_path / "o"]
+
+
+def _obj_with(tmp_path, text):
+    path = tmp_path / "bad.obj"
+    path.write_text(text)
+    return ["prepare", "--obj", path, "--res", 16, "--out", tmp_path / "o"]
+
+
+MALFORMED = {
+    "obj-vertex-token": lambda tmp, _: _obj_with(
+        tmp, "v 0 0 0\nv 1 0 x\nv 0 1 0\nf 1 2 3\n"),
+    "obj-face-token": lambda tmp, _: _obj_with(
+        tmp, "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n"),
+    "wsp1-short-header": lambda tmp, _: _wsp1_with(tmp, b"WSP1\x02\x00"),
+    "wsp1-bank-name": lambda tmp, _: _wsp1_with(
+        tmp, b"WSP1" + struct.pack("<IB", 1, 2) + b"\xff\xfe"),
+    "corpus-entry-path": lambda tmp, m: _model_copy_with_entry(
+        tmp, m, path=None),
+    "corpus-entry-weight": lambda tmp, m: _model_copy_with_entry(
+        tmp, m, weight="heavy"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_without_traceback(tmp_path, model_manifest,
+                                                    capsys, case):
+    argv = MALFORMED[case](tmp_path, model_manifest)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert "Traceback" not in err
 
 
 def test_prepare_needs_exactly_one_source(tmp_path, sphere_scene, capsys):
