@@ -3,6 +3,7 @@ refinement against the diffusion training objective."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -296,5 +297,6 @@ def load_model(manifest_path) -> ModelBundle:
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"model manifest malformed: {exc}") from exc
     oracle = read_oracle_corpus(corpus_dir, sched=sched)
-    digest = rng_mod.digest_bytes(path.read_bytes())
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    digest = rng_mod.digest_bytes(canonical.encode())
     return ModelBundle(encoder, oracle, sched, latent_length, digest)

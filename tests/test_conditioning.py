@@ -2,6 +2,7 @@
 shape-guided latent refinement."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -316,6 +317,14 @@ def test_model_manifest_round_trip(tmp_path, model_manifest):
     again = load_model(model_manifest)
     assert again.manifest_digest == bundle.manifest_digest
     np.testing.assert_array_equal(again.denoiser.anchors, bundle.denoiser.anchors)
+
+
+def test_model_digest_ignores_manifest_formatting(tmp_path, model_manifest):
+    shutil.copytree(model_manifest.parent, tmp_path / "m")
+    path = tmp_path / "m" / "model.json"
+    before = load_model(path).manifest_digest
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=7))
+    assert load_model(path).manifest_digest == before
 
 
 def test_model_manifest_validation(tmp_path):
