@@ -12,11 +12,11 @@ from .errors import (NumericalError, OutOfDomainError, ShapeMismatchError,
 from .grid import RegionMask3, Volume3, masked_combine, trilinear_sample
 from .formats import (read_json, read_mask, read_volume, read_wsv1, write_json,
                       write_wsv1)
-from .wavelet import (DEFAULT_BANK, SubbandSet, WaveletFilterBank,
-                      WaveletPyramid, bior_6_8, compactness_report, dwt3_full,
-                      get_bank, haar, idwt3_full, pyramid_decompose,
-                      pyramid_reconstruct, read_wsp1, reconstruct_truncated,
-                      truncated_reconstruction_error, write_wsp1)
+from .wavelet import (DEFAULT_BANK, WaveletFilterBank, WaveletPyramid,
+                      bior_6_8, compactness_report, get_bank, haar,
+                      pyramid_decompose, pyramid_reconstruct, read_wsp1,
+                      reconstruct_truncated, truncated_reconstruction_error,
+                      write_wsp1)
 from .tsdf import (NORMALIZED_EXTENT, TRUNCATION, BoxSource, CapsuleSource,
                    GridSdfSource, IntersectSource, MeshSdfSource, SdfSource,
                    SphereSource, SubtractSource, TorusSource, TriangleMesh,
@@ -27,10 +27,9 @@ from .surface import (keep_largest_component, marching_cubes,
                       mesh_component_count, mesh_stats)
 from .diffusion import (DenoiserInterface, GaussianMixtureOracle,
                         NoiseSchedule, default_step_subset,
-                        make_linear_schedule, oracle_predict_eps, p_step,
-                        q_sample, read_corpus_payload, read_oracle_corpus,
-                        sample, schedule_to_csv, training_loss,
-                        write_oracle_corpus)
+                        make_linear_schedule, p_step, q_sample,
+                        read_oracle_corpus, sample, schedule_to_csv,
+                        training_loss, write_oracle_corpus)
 from .conditioning import (DEFAULT_LATENT_LENGTH, DetailPredictorInterface,
                            EncoderInterface, LatentCode, ModelBundle,
                            NearestDetailPredictor, PoolProjectEncoder,

@@ -18,11 +18,11 @@ import numpy as np
 
 from . import __version__
 from . import rng as rng_mod
-from .conditioning import (NearestDetailPredictor, interpolate_latent, invert,
-                           load_model, read_latent, trace_to_csv, write_latent)
-from .diffusion import default_step_subset, read_corpus_payload, sample
+from .conditioning import (interpolate_latent, invert, load_model, read_latent,
+                           trace_to_csv, write_latent)
+from .diffusion import default_step_subset, sample
 from .errors import NumericalError, ValidationError
-from .formats import read_json, read_mask, read_volume, write_json, write_wsv1
+from .formats import read_mask, read_volume, write_json, write_wsv1
 from .grid import Volume3
 from .manipulation import (ManipulationPlan, boundary_discontinuity, manipulate,
                            naive_mix_baseline, read_plan_file)
@@ -97,33 +97,24 @@ class _ReconContext:
 
     def __init__(self, manifest_path: str):
         self.bundle = load_model(manifest_path)
-        corpus_dir = (Path(manifest_path).parent
-                      / read_json(manifest_path)["corpus"])
-        self.payload = read_corpus_payload(corpus_dir)
-        self.template = self.payload["volumes"][0]
-        self.predictor = None
-        if self.payload["details"] is not None:
-            pairs = [(c, d) for c, d in zip(self.payload["volumes"],
-                                            self.payload["details"])]
-            self.predictor = NearestDetailPredictor(pairs)
+        self.template = self.bundle.denoiser.volumes[0]
 
     @property
     def coarse_dims(self):
         return self.template.dims
 
     def require_reconstruction(self):
-        if (self.predictor is None or self.payload["dims_table"] is None
-                or self.payload["bank"] is None):
+        b = self.bundle
+        if b.detail_predictor is None or b.dims_table is None or b.bank_name is None:
             raise ValidationError(
                 "model corpus lacks detail volumes / reconstruction metadata")
 
     def to_mesh(self, coarse: Volume3) -> tuple[Volume3, TriangleMesh]:
         self.require_reconstruction()
         coarse = self.template.with_values(coarse.values)
-        detail = self.predictor.predict(coarse)
-        field = reconstruct_truncated(coarse, detail,
-                                      self.payload["dims_table"],
-                                      get_bank(self.payload["bank"]))
+        detail = self.bundle.detail_predictor.predict(coarse)
+        field = reconstruct_truncated(coarse, detail, self.bundle.dims_table,
+                                      get_bank(self.bundle.bank_name))
         return field, marching_cubes(field)
 
 
@@ -223,12 +214,12 @@ def cmd_invert(args) -> int:
     ctx = _ReconContext(args.model)
     ctx.require_reconstruction()
     tsdf = _load_shape_volume(args.input, args.res)
-    dims_table = ctx.payload["dims_table"]
+    dims_table = ctx.bundle.dims_table
     if tuple(tsdf.dims) != dims_table[0]:
         raise ValidationError(
             f"input dims {tsdf.dims} do not match model resolution "
             f"{dims_table[0]}")
-    bank = get_bank(ctx.payload["bank"])
+    bank = get_bank(ctx.bundle.bank_name)
     pyramid = pyramid_decompose(tsdf, J=len(dims_table) - 1, bank=bank)
     coarse_in = ctx.template.with_values(pyramid.coarse.values)
     z, coarse_out, trace = invert(

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .diffusion import (DenoiserInterface, NoiseSchedule, make_linear_schedule,
-                        oracle_predict_eps, q_sample, read_oracle_corpus, sample)
+                        q_sample, read_oracle_corpus, sample)
 from .errors import NumericalError, ShapeMismatchError, ValidationError
 from .formats import read_json, write_json
 from .grid import Volume3
@@ -273,11 +273,18 @@ def write_model_manifest(path, *, encoder_seed: int, latent_length: int,
 
 @dataclass(frozen=True)
 class ModelBundle:
+    """The generative stack of a model manifest.  The detail predictor, size
+    table and filter-bank name are None when the corpus does not store the
+    reconstruction data."""
+
     encoder: EncoderInterface
     denoiser: DenoiserInterface
     sched: NoiseSchedule
     latent_length: int
     manifest_digest: str
+    detail_predictor: DetailPredictorInterface | None = None
+    dims_table: list | None = None
+    bank_name: str | None = None
 
 
 def load_model(manifest_path) -> ModelBundle:
@@ -296,7 +303,10 @@ def load_model(manifest_path) -> ModelBundle:
         corpus_dir = path.parent / payload["corpus"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"model manifest malformed: {exc}") from exc
-    oracle = read_oracle_corpus(corpus_dir, sched=sched)
+    oracle, details, dims_table, bank = read_oracle_corpus(corpus_dir, sched=sched)
+    predictor = (None if details is None
+                 else NearestDetailPredictor(list(zip(oracle.volumes, details))))
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     digest = rng_mod.digest_bytes(canonical.encode())
-    return ModelBundle(encoder, oracle, sched, latent_length, digest)
+    return ModelBundle(encoder, oracle, sched, latent_length, digest,
+                       predictor, dims_table, bank)

@@ -171,8 +171,8 @@ class GaussianMixtureOracle(DenoiserInterface):
     def K(self) -> int:
         return len(self.weights)
 
-    def _logits(self, C_t: Volume3, t: int, z, sched: NoiseSchedule) -> np.ndarray:
-        ab = sched.alpha_bar(t)
+    def _logits(self, C_t: Volume3, t: int, z) -> np.ndarray:
+        ab = self.sched.alpha_bar(t)
         diff = C_t.values[None] - math.sqrt(ab) * self.stack
         d2 = np.einsum("kijl,kijl->k", diff, diff)
         logits = np.log(self.weights) - d2 / (2.0 * (1.0 - ab))
@@ -183,37 +183,45 @@ class GaussianMixtureOracle(DenoiserInterface):
             logits = logits - np.einsum("kl,kl->k", dz, dz) / (2.0 * self.tau ** 2)
         return logits
 
-    def posterior_weights(self, C_t: Volume3, t: int, z=None, sched=None) -> np.ndarray:
-        sched = sched or self.sched
-        if sched is None:
+    def _check_query(self, C_t: Volume3) -> None:
+        if self.sched is None:
             raise ValidationError("oracle has no schedule bound")
         if C_t.dims != self.dims:
             raise ShapeMismatchError(f"dims {C_t.dims} vs components {self.dims}")
-        logits = self._logits(C_t, t, z, sched)
+
+    def posterior_weights(self, C_t: Volume3, t: int, z=None) -> np.ndarray:
+        self._check_query(C_t)
+        logits = self._logits(C_t, t, z)
         logits = logits - logits.max()
         w = np.exp(logits)
         return w / w.sum()
 
-    def predict_eps(self, C_t: Volume3, t: int, z=None) -> Volume3:
-        if self.sched is None:
-            raise ValidationError("oracle has no schedule bound")
-        return oracle_predict_eps(self, C_t, t, z, self.sched)
+    def _posterior_eps(self, C_t: Volume3, t: int, z):
+        """(eps_hat values, posterior weights, sqrt(abar_t), sqrt(1 - abar_t)).
 
-    def predict_eps_grad_z(self, C_t: Volume3, t: int, z, eps: Volume3):
-        """(eps_hat, d/dz of voxel-mean ||eps_hat - eps||^2)."""
-        sched = self.sched
-        if sched is None:
-            raise ValidationError("oracle has no schedule bound")
-        if z is None or self.anchors is None:
-            raise ValidationError("gradient requires z and anchors")
-        ab = sched.alpha_bar(t)
+        At abar_t = 1 (t = 0) no noise is present: eps_hat is zero and the
+        weights are None.
+        """
+        self._check_query(C_t)
+        ab = self.sched.alpha_bar(t)
         if ab >= 1.0:
-            return C_t.with_values(np.zeros(self.dims)), np.zeros(len(np.asarray(z)))
-        w = self.posterior_weights(C_t, t, z, sched)
+            return np.zeros(self.dims), None, 1.0, 0.0
+        w = self.posterior_weights(C_t, t, z)
         expect = np.einsum("k,kijl->ijl", w, self.stack)
         root_ab = math.sqrt(ab)
         root_1mab = math.sqrt(1.0 - ab)
-        eps_hat = (C_t.values - root_ab * expect) / root_1mab
+        return (C_t.values - root_ab * expect) / root_1mab, w, root_ab, root_1mab
+
+    def predict_eps(self, C_t: Volume3, t: int, z=None) -> Volume3:
+        return C_t.with_values(self._posterior_eps(C_t, t, z)[0])
+
+    def predict_eps_grad_z(self, C_t: Volume3, t: int, z, eps: Volume3):
+        """(eps_hat, d/dz of voxel-mean ||eps_hat - eps||^2)."""
+        if z is None or self.anchors is None:
+            raise ValidationError("gradient requires z and anchors")
+        eps_hat, w, root_ab, root_1mab = self._posterior_eps(C_t, t, z)
+        if w is None:
+            return C_t.with_values(eps_hat), np.zeros(len(np.asarray(z)))
         nvox = eps_hat.size
         resid = eps_hat - eps.values
         # dL/dw_k through eps_hat; dw/dz through the softmax of logits
@@ -225,19 +233,6 @@ class GaussianMixtureOracle(DenoiserInterface):
         dw_dz = w[:, None] * (dlogit_dz - mean_dlogit[None, :])
         grad = np.einsum("k,kl->l", dl_dw, dw_dz)
         return C_t.with_values(eps_hat), grad
-
-
-def oracle_predict_eps(o: GaussianMixtureOracle, C_t: Volume3, t: int, z,
-                       sched: NoiseSchedule) -> Volume3:
-    if C_t.dims != o.dims:
-        raise ShapeMismatchError(f"dims {C_t.dims} vs components {o.dims}")
-    ab = 1.0 if t == 0 else sched.alpha_bar(t)
-    if ab >= 1.0:
-        return C_t.with_values(np.zeros(o.dims))  # no noise present
-    w = o.posterior_weights(C_t, t, z, sched)
-    expect = np.einsum("k,kijl->ijl", w, o.stack)
-    eps_hat = (C_t.values - math.sqrt(ab) * expect) / math.sqrt(1.0 - ab)
-    return C_t.with_values(eps_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +267,19 @@ def _validate_subset(step_subset, T: int) -> tuple[int, ...]:
     return tuple(subset)
 
 
+def _ancestral_step(denoiser: DenoiserInterface, sched: NoiseSchedule,
+                    C_t: Volume3, t: int, z, rng_seed: int, chain: str) -> Volume3:
+    """One ancestral reverse step of the chain named ``chain``; its noise is
+    the ``(rng_seed, "chain", chain, "step", t)`` stream, zero at t = 1."""
+    eps_hat = denoiser.predict_eps(C_t, t, z)
+    if t > 1:
+        noise = rng_mod.stream(rng_seed, "chain", chain, "step", t)\
+            .standard_normal(C_t.dims)
+    else:
+        noise = np.zeros(C_t.dims)
+    return p_step(C_t, t, eps_hat, C_t.with_values(noise), sched)
+
+
 def sample(denoiser: DenoiserInterface, sched: NoiseSchedule,
            dims: tuple[int, int, int], rng_seed: int, z=None,
            step_subset=None) -> Volume3:
@@ -283,16 +291,10 @@ def sample(denoiser: DenoiserInterface, sched: NoiseSchedule,
     """
     init = rng_mod.stream(rng_seed, "init").standard_normal(dims)
     C = Volume3(init)
-    chain = chain_stream_name(z)
     if step_subset is None:
+        chain = chain_stream_name(z)
         for t in range(sched.T, 0, -1):
-            eps_hat = denoiser.predict_eps(C, t, z)
-            if t > 1:
-                noise = rng_mod.stream(rng_seed, "chain", chain, "step", t)\
-                    .standard_normal(dims)
-            else:
-                noise = np.zeros(dims)
-            C = p_step(C, t, eps_hat, C.with_values(noise), sched)
+            C = _ancestral_step(denoiser, sched, C, t, z, rng_seed, chain)
         return C
     subset = _validate_subset(step_subset, sched.T)
     for i, t in enumerate(subset):
@@ -362,58 +364,35 @@ def write_oracle_corpus(dir_path, oracle: GaussianMixtureOracle,
     write_json(d / "corpus.json", payload)
 
 
-def read_oracle_corpus(dir_path, sched: NoiseSchedule | None = None) -> GaussianMixtureOracle:
+def read_oracle_corpus(dir_path, sched: NoiseSchedule | None = None):
+    """Read a corpus directory, each volume once.
+
+    Returns ``(oracle, details, dims_table, bank)``: the mixture oracle over
+    the stored components, then the per-component detail volumes, the size
+    table and the filter-bank name needed for reconstruction, each None when
+    the corpus does not store it.
+    """
     d = Path(dir_path)
     manifest = read_json(d / "corpus.json")
+    comps, anchors, details = [], [], []
+    dims_table = bank = None
     try:
-        entries = manifest["components"]
         tau = float(manifest["tau"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"corpus manifest malformed: {exc}") from exc
-    comps = []
-    anchors = []
-    try:
-        for e in entries:
+        for e in manifest["components"]:
             comps.append((float(e["weight"]), read_volume(d / e["path"])))
             anchors.append(e.get("anchor"))
+            if e.get("detail_path"):
+                details.append(read_volume(d / e["detail_path"]))
+        has_anchors = all(a is not None for a in anchors) and anchors
+        anchors = np.array(anchors, dtype=np.float64) if has_anchors else None
+        recon = manifest.get("reconstruction")
+        if recon:
+            dims_table = [tuple(int(x) for x in dims)
+                          for dims in recon["dims_table"]]
+            bank = recon.get("bank")
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"corpus entry malformed: {exc!r}") from exc
-    has_anchors = all(a is not None for a in anchors) and anchors
-    return GaussianMixtureOracle(
-        comps,
-        anchors=np.array(anchors, dtype=np.float64) if has_anchors else None,
-        tau=tau,
-        sched=sched,
-    )
-
-
-def read_corpus_payload(dir_path) -> dict:
-    """Everything stored in a corpus directory: component volumes, weights,
-    anchors, optional detail volumes, and optional reconstruction metadata
-    (dims_table plus filter-bank name)."""
-    d = Path(dir_path)
-    manifest = read_json(d / "corpus.json")
-    try:
-        entries = manifest["components"]
-        tau = float(manifest["tau"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"corpus manifest malformed: {exc}") from exc
-    volumes, weights, anchors, details = [], [], [], []
-    for e in entries:
-        volumes.append(read_volume(d / e["path"]))
-        weights.append(float(e["weight"]))
-        anchors.append(e.get("anchor"))
-        dp = e.get("detail_path")
-        details.append(read_volume(d / dp) if dp else None)
-    recon = manifest.get("reconstruction")
-    out = {"tau": tau, "volumes": volumes, "weights": weights,
-           "anchors": (np.array(anchors, dtype=np.float64)
-                       if all(a is not None for a in anchors) and anchors
-                       else None),
-           "details": details if any(x is not None for x in details) else None,
-           "dims_table": None, "bank": None}
-    if recon:
-        out["dims_table"] = [tuple(int(x) for x in dims)
-                             for dims in recon["dims_table"]]
-        out["bank"] = recon.get("bank")
-    return out
+        raise ValidationError(f"corpus manifest malformed: {exc!r}") from exc
+    if details and len(details) != len(comps):
+        raise ValidationError("corpus stores detail volumes for only some components")
+    oracle = GaussianMixtureOracle(comps, anchors=anchors, tau=tau, sched=sched)
+    return oracle, tuple(details) or None, dims_table, bank

@@ -81,6 +81,25 @@ def masked_combine(a: Volume3, b: Volume3, mask: RegionMask3) -> Volume3:
     return Volume3(np.where(mask.bits, b.values, a.values), a.origin, a.spacing)
 
 
+def _trilinear(v: Volume3, g: np.ndarray) -> np.ndarray:
+    """Trilinear interpolation at (N, 3) grid coordinates, each clamped onto
+    [0, dims - 1]; an axis with a single voxel is constant along it."""
+    hi = np.array(v.dims) - 1
+    g = np.clip(g, 0.0, hi)
+    i0 = np.minimum(np.floor(g).astype(np.int64), np.maximum(hi - 1, 0))
+    fx, fy, fz = (g - i0).T
+    x0, y0, z0 = i0.T
+    x1, y1, z1 = np.minimum(i0 + 1, hi).T
+    c = v.values
+    c00 = c[x0, y0, z0] * (1 - fx) + c[x1, y0, z0] * fx
+    c10 = c[x0, y1, z0] * (1 - fx) + c[x1, y1, z0] * fx
+    c01 = c[x0, y0, z1] * (1 - fx) + c[x1, y0, z1] * fx
+    c11 = c[x0, y1, z1] * (1 - fx) + c[x1, y1, z1] * fx
+    c0 = c00 * (1 - fy) + c10 * fy
+    c1 = c01 * (1 - fy) + c11 * fy
+    return c0 * (1 - fz) + c1 * fz
+
+
 def trilinear_sample(v: Volume3, p) -> float:
     """Trilinear interpolation of the 8 voxel values surrounding world point p.
 
@@ -93,18 +112,4 @@ def trilinear_sample(v: Volume3, p) -> float:
     eps = 1e-9
     if np.any(g < -eps) or np.any(g > hi + eps):
         raise OutOfDomainError(f"point {p.tolist()} outside grid domain")
-    g = np.clip(g, 0.0, hi)
-    i0 = np.minimum(np.floor(g).astype(int), np.maximum(hi - 1, 0))
-    f = g - i0
-    i1 = np.minimum(i0 + 1, hi)
-    c = v.values
-    x0, y0, z0 = i0
-    x1, y1, z1 = i1
-    fx, fy, fz = f
-    c00 = c[x0, y0, z0] * (1 - fx) + c[x1, y0, z0] * fx
-    c10 = c[x0, y1, z0] * (1 - fx) + c[x1, y1, z0] * fx
-    c01 = c[x0, y0, z1] * (1 - fx) + c[x1, y0, z1] * fx
-    c11 = c[x0, y1, z1] * (1 - fx) + c[x1, y1, z1] * fx
-    c0 = c00 * (1 - fy) + c10 * fy
-    c1 = c01 * (1 - fy) + c11 * fy
-    return float(c0 * (1 - fz) + c1 * fz)
+    return float(_trilinear(v, g[None])[0])

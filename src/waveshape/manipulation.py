@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rng_mod
-from .diffusion import (DenoiserInterface, NoiseSchedule, chain_stream_name,
-                        p_step, sample)
+from .diffusion import (DenoiserInterface, NoiseSchedule, _ancestral_step,
+                        chain_stream_name, p_step, sample)
 from .errors import ShapeMismatchError, ValidationError
 from .formats import read_json, write_json
 from .grid import RegionMask3, Volume3, masked_combine
-from .wavelet import WaveletFilterBank, _analyze_axis, _Filter, _lowpass_window
+from .wavelet import (WaveletFilterBank, _analyze_axis, _Filter, _lowpass_window,
+                      _synth_up3)
 
 MODES = ("replacement", "part_interpolation", "regeneration",
          "whole_interpolation")
@@ -100,21 +101,11 @@ def coefficient_support_volume(mask: RegionMask3, dims_table,
     means some marked coefficient contributes to it.  Complementary voxels
     are untouched by any edit restricted to the mask.
     """
-    from .wavelet import _synth_up3
     vals = mask.bits.astype(np.float64)
-    # absolute-value filters so positive and negative taps cannot cancel
-    abs_bank = object.__new__(WaveletFilterBank)
-    object.__setattr__(abs_bank, "analysis_low",
-                       _Filter(np.abs(bank.analysis_low.taps),
-                               bank.analysis_low.origin))
-    object.__setattr__(abs_bank, "synthesis_low",
-                       _Filter(np.abs(bank.synthesis_low.taps),
-                               bank.synthesis_low.origin))
-    object.__setattr__(abs_bank, "delay", bank.delay)
-    dims_fine_first = list(dims_table)
-    for j in range(len(dims_fine_first) - 1, 0, -1):
-        vals = _synth_up3(vals, dims_fine_first[j - 1], abs_bank)
-        vals = np.abs(vals)
+    # absolute-value filter so positive and negative taps cannot cancel
+    abs_synth = _Filter(np.abs(bank.synthesis_low.taps), bank.synthesis_low.origin)
+    for j in range(len(dims_table) - 1, 0, -1):
+        vals = np.abs(_synth_up3(vals, dims_table[j - 1], bank, abs_synth))
     return Volume3(vals)
 
 
@@ -195,17 +186,6 @@ def _combine(state_a: Volume3, state_b: Volume3, plan: ManipulationPlan,
     return masked_combine(state_a, inside, plan.mask)
 
 
-def _chain_step(denoiser: DenoiserInterface, sched: NoiseSchedule,
-                state: Volume3, t: int, z, seed: int, chain: str) -> Volume3:
-    eps_hat = denoiser.predict_eps(state, t, z)
-    if t > 1:
-        noise = rng_mod.stream(seed, "chain", chain, "step", t).standard_normal(
-            state.dims)
-    else:
-        noise = np.zeros(state.dims)
-    return p_step(state, t, eps_hat, state.with_values(noise), sched)
-
-
 def manipulate(zA, zB, plan: ManipulationPlan, rng_seed: int) -> Volume3:
     """Run the dual-chain edit and return the final coarse volume.
 
@@ -241,10 +221,10 @@ def manipulate(zA, zB, plan: ManipulationPlan, rng_seed: int) -> Volume3:
     state_b = Volume3(init.copy())
     combine_index = 0
     for t in range(sched.T, 0, -1):
-        state_a = _chain_step(plan.denoiser_a, sched, state_a, t, zA,
-                              rng_seed, name_a)
-        state_b = _chain_step(denoiser_b, sched, state_b, t, zB,
-                              rng_seed, name_b)
+        state_a = _ancestral_step(plan.denoiser_a, sched, state_a, t, zA,
+                                  rng_seed, name_a)
+        state_b = _ancestral_step(denoiser_b, sched, state_b, t, zB,
+                                  rng_seed, name_b)
         level = t - 1
         if level % plan.delta_t == 0:
             combined = _combine(state_a, state_b, plan, combine_index)

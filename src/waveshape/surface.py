@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ._mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_CORNERS, TRI_TABLE
 from .errors import ValidationError
@@ -71,30 +73,24 @@ def marching_cubes(v: Volume3, iso: float = 0.0) -> TriangleMesh:
     return TriangleMesh(verts, tris)
 
 
+def _vertex_components(m: TriangleMesh) -> np.ndarray:
+    """Component label of every vertex; triangles connect their vertices."""
+    t = m.triangles
+    n = m.num_vertices
+    edges = coo_matrix((np.ones(2 * len(t)),
+                        (np.concatenate([t[:, 0], t[:, 0]]),
+                         np.concatenate([t[:, 1], t[:, 2]]))), shape=(n, n))
+    return connected_components(edges, directed=False)[1]
+
+
 def keep_largest_component(m: TriangleMesh, min_fraction: float = 0.05) -> TriangleMesh:
     """Drop connected components with < min_fraction of the largest
     component's triangle count; vertex connectivity defines components."""
     if m.num_triangles == 0:
         return m
-    parent = np.arange(m.num_vertices)
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    for a, b, c in m.triangles:
-        ra, rb, rc = find(a), find(b), find(c)
-        parent[rb] = ra
-        parent[rc] = ra
-    tri_root = np.array([find(t[0]) for t in m.triangles])
-    roots, counts = np.unique(tri_root, return_counts=True)
-    threshold = min_fraction * counts.max()
-    keep_roots = set(roots[counts >= threshold].tolist())
-    keep = np.array([r in keep_roots for r in tri_root])
+    tri_label = _vertex_components(m)[m.triangles[:, 0]]
+    counts = np.bincount(tri_label)
+    keep = counts[tri_label] >= min_fraction * counts.max()
     tris = m.triangles[keep]
     used = np.unique(tris)
     remap = np.full(m.num_vertices, -1, dtype=np.int64)
@@ -103,23 +99,10 @@ def keep_largest_component(m: TriangleMesh, min_fraction: float = 0.05) -> Trian
 
 
 def mesh_component_count(m: TriangleMesh) -> int:
+    """Connected components among vertices used by a triangle."""
     if m.num_triangles == 0:
         return 0
-    parent = np.arange(m.num_vertices)
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    for a, b, c in m.triangles:
-        parent[find(b)] = find(a)
-        parent[find(c)] = find(a)
-    used = np.unique(m.triangles)
-    return len({find(int(i)) for i in used})
+    return len(np.unique(_vertex_components(m)[np.unique(m.triangles)]))
 
 
 def mesh_stats(m: TriangleMesh) -> dict:

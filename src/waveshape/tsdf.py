@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 from .formats import read_json
-from .grid import Volume3
+from .grid import Volume3, _trilinear
 
 TRUNCATION = 0.1
 NORMALIZED_EXTENT = 1.8  # largest bounding-box edge after normalize_mesh
@@ -184,31 +184,12 @@ class GridSdfSource(SdfSource):
 
     def distance(self, points):
         v = self.volume
-        p = np.asarray(points, dtype=np.float64)
-        squeeze = p.ndim == 1
-        p = np.atleast_2d(p)
-        vals = v.values
-        out_idx = []
-        frac = []
-        for ax in range(3):
-            coord = (p[:, ax] - v.origin[ax]) / v.spacing[ax]
-            coord = np.clip(coord, 0.0, v.dims[ax] - 1.0)
-            i0 = np.clip(np.floor(coord).astype(np.int64), 0, max(v.dims[ax] - 2, 0))
-            out_idx.append(i0)
-            frac.append(coord - i0)
-        i, j, k = out_idx
-        fx, fy, fz = frac
         if min(v.dims) < 2:
             raise ValidationError("grid too small for trilinear interpolation")
-        c = 0.0
-        for dx in (0, 1):
-            wx = fx if dx else 1.0 - fx
-            for dy in (0, 1):
-                wy = fy if dy else 1.0 - fy
-                for dz in (0, 1):
-                    wz = fz if dz else 1.0 - fz
-                    c = c + wx * wy * wz * vals[i + dx, j + dy, k + dz]
-        return c[0] if squeeze else c
+        p = np.asarray(points, dtype=np.float64)
+        g = (np.atleast_2d(p) - np.array(v.origin)) / np.array(v.spacing)
+        out = _trilinear(v, g)
+        return out[0] if p.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

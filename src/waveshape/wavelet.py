@@ -140,20 +140,6 @@ class WaveletFilterBank:
     delay: int = field(init=False, default=0)
 
     @property
-    def support_radius(self) -> int:
-        """Max |signed tap position| across all four filters."""
-        return max(
-            max(abs(f.pos_min), abs(f.pos_max))
-            for f in (self.analysis_low, self.analysis_high,
-                      self.synthesis_low, self.synthesis_high)
-        )
-
-    @property
-    def max_length(self) -> int:
-        return max(len(f.taps) for f in (self.analysis_low, self.analysis_high,
-                                         self.synthesis_low, self.synthesis_high))
-
-    @property
     def analysis_length(self) -> int:
         """Length L of the analysis low-pass; drives the pyramid size recurrence."""
         return len(self.analysis_low.taps)
@@ -210,25 +196,22 @@ def _analyze_axis(arr: np.ndarray, f: _Filter, axis: int, kmin: int, count: int)
 
 
 def _synth_axis(c: np.ndarray, k0: int, n_out: int, f: _Filter, delay: int,
-                axis: int, extend: bool) -> np.ndarray:
+                axis: int) -> np.ndarray:
     """out[j] = sum_k c[k] * taps[j + delay - 2k] for j = 0..n_out-1.
 
-    With extend=True, coefficients outside the stored window are supplied by
-    symmetric reflection of the window (used by the pyramid's low-pass
-    chain); otherwise they are taken as zero (full subband sets already
-    cover every needed k).
+    Coefficients outside the stored window are supplied by symmetric
+    reflection of the window.
     """
     c = np.moveaxis(c, axis, 0)
     m = c.shape[0]
     need_lo = math.ceil((0 + delay - f.pos_max) / 2)
     need_hi = (n_out - 1 + delay - f.pos_min) // 2
-    if extend:
-        padl = max(0, k0 - need_lo)
-        padr = max(0, need_hi - (k0 + m - 1))
-        if padl or padr:
-            c = np.pad(c, [(padl, padr)] + [(0, 0)] * (c.ndim - 1), mode="symmetric")
-            k0 -= padl
-            m = c.shape[0]
+    padl = max(0, k0 - need_lo)
+    padr = max(0, need_hi - (k0 + m - 1))
+    if padl or padr:
+        c = np.pad(c, [(padl, padr)] + [(0, 0)] * (c.ndim - 1), mode="symmetric")
+        k0 -= padl
+        m = c.shape[0]
     u = np.zeros((2 * m - 1,) + c.shape[1:])
     u[::2] = c
     L = len(f.taps)
@@ -264,90 +247,15 @@ def _analyze_low3(arr: np.ndarray, bank: WaveletFilterBank) -> np.ndarray:
     return arr
 
 
-def _synth_up3(arr: np.ndarray, target: tuple[int, int, int], bank: WaveletFilterBank) -> np.ndarray:
+def _synth_up3(arr: np.ndarray, target: tuple[int, int, int], bank: WaveletFilterBank,
+               synth: _Filter | None = None) -> np.ndarray:
+    """Upsample-synthesize onto ``target`` with the bank's synthesis low-pass,
+    or with ``synth`` in its place (same tap positions)."""
+    synth = bank.synthesis_low if synth is None else synth
     for axis in range(3):
         kmin, _ = _lowpass_window(target[axis], bank)
-        arr = _synth_axis(arr, kmin, target[axis], bank.synthesis_low,
-                          bank.delay, axis, extend=True)
+        arr = _synth_axis(arr, kmin, target[axis], synth, bank.delay, axis)
     return arr
-
-
-# ---------------------------------------------------------------------------
-# Full 8-subband transform
-
-_SUBBAND_KEYS = tuple(
-    a + b + c for a in "LH" for b in "LH" for c in "LH"
-)  # letter order: axis 0, 1, 2
-
-
-@dataclass(frozen=True)
-class SubbandSet:
-    """Output of dwt3_full: 8 subbands keyed LLL..HHH plus source metadata."""
-
-    bands: dict
-    dims: tuple[int, int, int]
-    bank_name: str
-    origin: tuple[float, float, float]
-    spacing: tuple[float, float, float]
-
-
-def _full_window(n: int, bank: WaveletFilterBank) -> tuple[int, int]:
-    S = bank.support_radius
-    kmin = math.ceil(-S / 2)
-    kmax = (n - 1 + S) // 2
-    return kmin, kmax - kmin + 1
-
-
-def dwt3_full(v: Volume3, bank: WaveletFilterBank | None = None) -> SubbandSet:
-    """Separable one-level analysis into 8 subbands (LLL..HHH)."""
-    bank = bank or bior_6_8()
-    if min(v.dims) < bank.max_length:
-        raise ValidationError(
-            f"volume dims {v.dims} smaller than filter support {bank.max_length}"
-        )
-    parts = {"": v.values}
-    for axis in range(3):
-        nxt = {}
-        for key, arr in parts.items():
-            kmin, count = _full_window(v.dims[axis], bank)
-            nxt[key + "L"] = _analyze_axis(arr, bank.analysis_low, axis, kmin, count)
-            nxt[key + "H"] = _analyze_axis(arr, bank.analysis_high, axis, kmin, count)
-        parts = nxt
-    return SubbandSet(parts, v.dims, bank.name, v.origin, v.spacing)
-
-
-def idwt3_full(sb: SubbandSet, bank: WaveletFilterBank | None = None) -> Volume3:
-    """Exact inverse of dwt3_full for the recorded original dims."""
-    bank = bank or get_bank(sb.bank_name)
-    if bank.name != sb.bank_name:
-        raise ValidationError(f"bank {bank.name!r} does not match subbands {sb.bank_name!r}")
-    expect = {}
-    for key in _SUBBAND_KEYS:
-        if key not in sb.bands:
-            raise ValidationError(f"missing subband {key}")
-        shape = tuple(
-            _full_window(sb.dims[ax], bank)[1] for ax in range(3)
-        )
-        if sb.bands[key].shape != shape:
-            raise ValidationError(
-                f"subband {key} has dims {sb.bands[key].shape}, expected {shape}"
-            )
-        expect[key] = np.asarray(sb.bands[key], dtype=np.float64)
-    parts = expect
-    for axis in reversed(range(3)):
-        kmin, _ = _full_window(sb.dims[axis], bank)
-        nxt = {}
-        keys = {key[:axis] + key[axis + 1:] for key in parts}
-        for short in keys:
-            lo_key = short[:axis] + "L" + short[axis:]
-            hi_key = short[:axis] + "H" + short[axis:]
-            lo = _synth_axis(parts[lo_key], kmin, sb.dims[axis], bank.synthesis_low,
-                             bank.delay, axis, extend=False)
-            hi = _synth_axis(parts[hi_key], kmin, sb.dims[axis], bank.synthesis_high,
-                             bank.delay, axis, extend=False)
-            nxt[short] = lo + hi
-        parts = nxt
-    return Volume3(parts[""], sb.origin, sb.spacing)
 
 
 # ---------------------------------------------------------------------------

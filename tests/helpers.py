@@ -44,13 +44,12 @@ def conv_analysis_1d(x, taps, origin, kmin, count):
     return out
 
 
-def conv_synthesis_1d(c, k0, n_out, taps, origin, delay, extend):
+def conv_synthesis_1d(c, k0, n_out, taps, origin, delay):
     """Upsample coefficients (sample k at position 2k + k0*2), filter, crop.
 
     Output sample m (0..n_out-1) is sum over coefficient index j of
-    c[j] * taps at position (m + delay) - 2*(j + k0).  When ``extend`` is
-    true the coefficient array is reflected at its own boundary, otherwise
-    out-of-range coefficients are treated as zero.
+    c[j] * taps at position (m + delay) - 2*(j + k0), with the coefficient
+    array reflected at its own boundary.
     """
     nc = len(c)
     out = np.zeros(n_out)
@@ -62,10 +61,7 @@ def conv_synthesis_1d(c, k0, n_out, taps, origin, delay, extend):
             if num % 2 != 0:
                 continue
             j = num // 2 - k0
-            if extend:
-                acc += taps[s] * c[reflect_index(j, nc)]
-            elif 0 <= j < nc:
-                acc += taps[s] * c[j]
+            acc += taps[s] * c[reflect_index(j, nc)]
         out[m] = acc
     return out
 

@@ -12,9 +12,9 @@ import helpers
 from waveshape.diffusion import (DenoiserInterface, GaussianMixtureOracle,
                                  NoiseSchedule, chain_stream_name,
                                  default_step_subset, make_linear_schedule,
-                                 p_step, q_sample, read_corpus_payload,
-                                 read_oracle_corpus, sample, schedule_to_csv,
-                                 training_loss, write_oracle_corpus)
+                                 p_step, q_sample, read_oracle_corpus,
+                                 sample, schedule_to_csv, training_loss,
+                                 write_oracle_corpus)
 from waveshape.errors import ShapeMismatchError, ValidationError
 from waveshape.grid import Volume3
 from waveshape.rng import stream
@@ -364,18 +364,18 @@ def test_corpus_round_trip(tmp_path):
     write_oracle_corpus(tmp_path, oracle, details=details,
                         dims_table=dims_table, bank_name="bior-6.8")
 
-    back = read_oracle_corpus(tmp_path, sched=sched)
+    back, back_details, back_dims, bank = read_oracle_corpus(tmp_path, sched=sched)
     np.testing.assert_allclose(back.weights, [0.4, 0.6], atol=1e-12)
     assert back.tau == 0.5
+    assert back.sched is sched
     np.testing.assert_allclose(back.anchors, anchors, atol=1e-12)
     for got, want in zip(back.volumes, comps):
         assert np.abs(got.values - want.values).max() <= 1.2e-7 * np.abs(want.values).max()
 
-    payload = read_corpus_payload(tmp_path)
-    assert payload["dims_table"] == [tuple(d) for d in dims_table]
-    assert payload["bank"] == "bior-6.8"
-    assert len(payload["details"]) == 2
-    for got, want in zip(payload["details"], details):
+    assert back_dims == [tuple(d) for d in dims_table]
+    assert bank == "bior-6.8"
+    assert len(back_details) == 2
+    for got, want in zip(back_details, details):
         assert np.abs(got.values - want.values).max() <= 1.2e-7 * np.abs(want.values).max()
 
 
@@ -383,11 +383,10 @@ def test_corpus_without_optional_parts(tmp_path):
     X = _vol(22, dims=(5, 5, 5))
     oracle = GaussianMixtureOracle([(1.0, X)])
     write_oracle_corpus(tmp_path, oracle)
-    back = read_oracle_corpus(tmp_path)
+    back, details, dims_table, bank = read_oracle_corpus(tmp_path)
     assert back.anchors is None
-    payload = read_corpus_payload(tmp_path)
-    assert payload["details"] is None
-    assert payload["dims_table"] is None and payload["bank"] is None
+    assert details is None
+    assert dims_table is None and bank is None
 
 
 def test_corpus_detail_count_mismatch(tmp_path):

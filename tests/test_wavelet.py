@@ -1,8 +1,8 @@
-"""Filter bank identities, separable transforms, and the coefficient pyramid.
+"""Filter bank identities, separable axis passes, and the coefficient pyramid.
 
 The filter tables are regenerated here from exact rational arithmetic, the
-subband transform is compared against a scalar direct-convolution reference,
-and reconstruction error bounds are pinned.
+analysis and synthesis axis passes are compared against a scalar
+direct-convolution reference, and reconstruction error bounds are pinned.
 """
 
 import math
@@ -18,10 +18,10 @@ from waveshape.errors import ShapeMismatchError, ValidationError
 from waveshape.grid import Volume3
 from waveshape.wavelet import (WaveletPyramid, _ANALYSIS_LO_DEN,
                                _ANALYSIS_LO_NUM, _SYNTHESIS_LO_DEN,
-                               _SYNTHESIS_LO_NUM, _full_window,
-                               _lowpass_window, _reflect_indices, bior_6_8,
-                               compactness_report, dwt3_full, get_bank, haar,
-                               idwt3_full, lowpass_dims, pyramid_decompose,
+                               _SYNTHESIS_LO_NUM, _analyze_axis,
+                               _lowpass_window, _reflect_indices, _synth_axis,
+                               bior_6_8, compactness_report, get_bank, haar,
+                               lowpass_dims, pyramid_decompose,
                                pyramid_reconstruct, read_wsp1,
                                reconstruct_truncated,
                                truncated_reconstruction_error, write_wsp1)
@@ -147,90 +147,35 @@ def test_reflect_indices_match_scalar_reference(i, n):
     assert got == helpers.reflect_index(i, n)
 
 
-def _brute_force_subbands(vol: Volume3, bank):
-    parts = {"": vol.values}
-    for axis in range(3):
-        kmin, count = _full_window(vol.dims[axis], bank)
-        nxt = {}
-        for key, arr in parts.items():
-            for letter, f in (("L", bank.analysis_low), ("H", bank.analysis_high)):
-                nxt[key + letter] = helpers.apply_axis(
-                    arr, axis,
-                    lambda row, f=f: helpers.conv_analysis_1d(
-                        row, f.taps, f.origin, kmin, count))
-        parts = nxt
-    return parts
-
-
 @pytest.mark.parametrize("bank_name,dims", [("haar", (6, 7, 9)),
                                             ("bior-6.8", (21, 22, 23))])
 def test_dwt3_matches_direct_convolution(bank_name, dims):
     bank = get_bank(bank_name)
-    gen = np.random.default_rng(5)
-    vol = Volume3(gen.standard_normal(dims))
-    sb = dwt3_full(vol, bank)
-    expected = _brute_force_subbands(vol, bank)
-    assert set(sb.bands) == set(expected)
-    for key in expected:
-        np.testing.assert_allclose(sb.bands[key], expected[key],
-                                   rtol=0, atol=1e-11)
+    arr = np.random.default_rng(5).standard_normal(dims)
+    for f in (bank.analysis_low, bank.analysis_high):
+        # every k whose filter window overlaps the signal, so both edges
+        # exercise the reflection
+        for axis in range(3):
+            n = dims[axis]
+            kmin = math.ceil(f.pos_min / 2)
+            count = (n - 1 + f.pos_max) // 2 - kmin + 1
+            got = _analyze_axis(arr, f, axis, kmin, count)
+            expected = helpers.apply_axis(
+                arr, axis, lambda row: helpers.conv_analysis_1d(
+                    row, f.taps, f.origin, kmin, count))
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-11)
 
 
 def test_synthesis_matches_direct_convolution():
-    from waveshape.wavelet import _synth_axis
     bank = bior_6_8()
     gen = np.random.default_rng(8)
     c = gen.standard_normal((9, 4, 5))
-    for extend in (False, True):
-        got = _synth_axis(c, -2, 14, bank.synthesis_low, bank.delay, 0, extend)
-        expected = helpers.apply_axis(
-            c, 0, lambda row: helpers.conv_synthesis_1d(
-                row, -2, 14, bank.synthesis_low.taps,
-                bank.synthesis_low.origin, bank.delay, extend))
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Perfect reconstruction
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.tuples(st.integers(2, 9), st.integers(2, 9), st.integers(2, 9)),
-       st.integers(0, 2 ** 31 - 1))
-def test_full_transform_invertible_haar(dims, seed):
-    gen = np.random.default_rng(seed)
-    vol = Volume3(gen.standard_normal(dims), origin=(0.5, 0.0, 0.0),
-                  spacing=(0.5, 1.0, 2.0))
-    back = idwt3_full(dwt3_full(vol, haar()))
-    assert np.abs(back.values - vol.values).max() <= 1e-12
-    assert back.origin == vol.origin and back.spacing == vol.spacing
-
-
-@pytest.mark.parametrize("dims", [(21, 21, 21), (22, 25, 21), (24, 23, 27)])
-def test_full_transform_invertible_bior(dims):
-    gen = np.random.default_rng(sum(dims))
-    vol = Volume3(gen.standard_normal(dims))
-    back = idwt3_full(dwt3_full(vol, bior_6_8()))
-    assert np.abs(back.values - vol.values).max() <= 1e-12
-
-
-def test_full_transform_rejects_small_volumes():
-    with pytest.raises(ValidationError):
-        dwt3_full(Volume3(np.zeros((20, 21, 21))), bior_6_8())
-
-
-def test_idwt_rejects_missing_or_misshaped_subbands():
-    vol = Volume3(np.random.default_rng(0).standard_normal((6, 6, 6)))
-    sb = dwt3_full(vol, haar())
-    broken = dict(sb.bands)
-    del broken["HHH"]
-    import dataclasses
-    with pytest.raises(ValidationError):
-        idwt3_full(dataclasses.replace(sb, bands=broken))
-    wrong = dict(sb.bands)
-    wrong["LLL"] = wrong["LLL"][:-1]
-    with pytest.raises(ValidationError):
-        idwt3_full(dataclasses.replace(sb, bands=wrong))
+    got = _synth_axis(c, -2, 14, bank.synthesis_low, bank.delay, 0)
+    expected = helpers.apply_axis(
+        c, 0, lambda row: helpers.conv_synthesis_1d(
+            row, -2, 14, bank.synthesis_low.taps,
+            bank.synthesis_low.origin, bank.delay))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
