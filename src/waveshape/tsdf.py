@@ -557,26 +557,28 @@ def read_obj(path) -> TriangleMesh:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        try:
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise ValidationError(f"{path}:{line_no}: malformed vertex")
+        if parts[0] == "v":
+            if len(parts) < 4:
+                raise ValidationError(f"{path}:{line_no}: malformed vertex")
+            try:
                 verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                idx = []
-                for token in parts[1:]:
-                    i = int(token.split("/")[0])
-                    if i < 0:
-                        i = len(verts) + 1 + i
-                    idx.append(i - 1)
-                if len(idx) < 3:
-                    raise ValidationError(
-                        f"{path}:{line_no}: face needs >= 3 vertices")
-                for k in range(1, len(idx) - 1):
-                    tris.append([idx[0], idx[k], idx[k + 1]])
-            # all other records (vn, vt, usemtl, ...) are ignored
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{line_no}: {exc}") from exc
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{line_no}: {exc}") from exc
+        elif parts[0] == "f":
+            try:
+                heads = [int(token.split("/")[0]) for token in parts[1:]]
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{line_no}: {exc}") from exc
+            idx = []
+            for i in heads:
+                if i < 0:
+                    i = len(verts) + 1 + i
+                idx.append(i - 1)
+            if len(idx) < 3:
+                raise ValidationError(f"{path}:{line_no}: face needs >= 3 vertices")
+            for k in range(1, len(idx) - 1):
+                tris.append([idx[0], idx[k], idx[k + 1]])
+        # all other records (vn, vt, usemtl, ...) are ignored
     if not verts:
         raise ValidationError(f"{path}: no vertices")
     return TriangleMesh(np.array(verts, dtype=np.float64),

@@ -407,8 +407,9 @@ def write_wsp1(path, p: WaveletPyramid) -> None:
 
 
 def _read_header(fh, fmt: str) -> tuple:
-    raw = fh.read(struct.calcsize(fmt))
-    if len(raw) != struct.calcsize(fmt):
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) != size:
         raise ValidationError("truncated WSP1 header")
     return struct.unpack(fmt, raw)
 
