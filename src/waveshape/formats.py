@@ -9,6 +9,7 @@ gain would otherwise push quantization error above the round-trip budget.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 from pathlib import Path
@@ -25,6 +26,7 @@ DTYPE_F64 = 1
 DTYPE_U8 = 2
 
 _HEADER = struct.Struct("<4s3I6dB")
+_PAYLOAD_DTYPES = {DTYPE_F32: "<f4", DTYPE_F64: "<f8", DTYPE_U8: "u1"}
 
 
 def _write_wsv1_stream(fh: BinaryIO, obj: Union[Volume3, RegionMask3],
@@ -53,26 +55,20 @@ def _read_wsv1_stream(fh: BinaryIO) -> Union[Volume3, RegionMask3]:
     magic, nx, ny, nz, ox, oy, oz, sx, sy, sz, tag = _HEADER.unpack(head)
     if magic != MAGIC_VOLUME:
         raise ValidationError(f"bad magic {magic!r}, expected {MAGIC_VOLUME!r}")
-    count = nx * ny * nz
-    if tag == DTYPE_F32:
-        raw = fh.read(4 * count)
-        if len(raw) != 4 * count:
-            raise ValidationError("truncated WSV1 payload")
-        vals = np.frombuffer(raw, dtype="<f4").reshape((nx, ny, nz), order="F")
-        return Volume3(vals.astype(np.float64), (ox, oy, oz), (sx, sy, sz))
-    if tag == DTYPE_F64:
-        raw = fh.read(8 * count)
-        if len(raw) != 8 * count:
-            raise ValidationError("truncated WSV1 payload")
-        vals = np.frombuffer(raw, dtype="<f8").reshape((nx, ny, nz), order="F")
-        return Volume3(vals.astype(np.float64), (ox, oy, oz), (sx, sy, sz))
+    fmt = _PAYLOAD_DTYPES.get(tag)
+    if fmt is None:
+        raise ValidationError(f"unknown WSV1 dtype tag {tag}")
+    size = np.dtype(fmt).itemsize * nx * ny * nz
+    start = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - start
+    fh.seek(start)
+    if size > left:
+        raise ValidationError(
+            f"truncated WSV1 payload: header declares {size} bytes, {left} remain")
+    vals = np.frombuffer(fh.read(size), dtype=fmt).reshape((nx, ny, nz), order="F")
     if tag == DTYPE_U8:
-        raw = fh.read(count)
-        if len(raw) != count:
-            raise ValidationError("truncated WSV1 payload")
-        bits = np.frombuffer(raw, dtype=np.uint8).reshape((nx, ny, nz), order="F")
-        return RegionMask3(bits.astype(bool))
-    raise ValidationError(f"unknown WSV1 dtype tag {tag}")
+        return RegionMask3(vals.astype(bool))
+    return Volume3(vals.astype(np.float64), (ox, oy, oz), (sx, sy, sz))
 
 
 def write_wsv1(path, obj: Union[Volume3, RegionMask3], wide: bool = False) -> None:

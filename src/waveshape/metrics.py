@@ -3,6 +3,7 @@ plus nearest-shape retrieval."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.spatial import cKDTree
 
 from . import rng as rng_mod
 from .errors import ShapeMismatchError, ValidationError
-from .tsdf import TriangleMesh
+from .tsdf import TriangleMesh, _ragged
 
 DEFAULT_SURFACE_SAMPLES = 2048
 
@@ -129,17 +130,6 @@ def emd_approx(P, Q, method: str = "auto") -> float:
 # Collection-level metrics
 
 
-def _pairwise(generated, reference, base_metric) -> np.ndarray:
-    fn = {"chamfer": chamfer, "emd": emd_approx}.get(base_metric, base_metric)
-    if not callable(fn):
-        raise ValidationError(f"unknown base metric {base_metric!r}")
-    out = np.empty((len(generated), len(reference)))
-    for i, g in enumerate(generated):
-        for j, r in enumerate(reference):
-            out[i, j] = fn(g, r)
-    return out
-
-
 def set_metrics(generated, reference, base_metric="chamfer") -> dict:
     """COV, MMD and 1-NNA between two lists of point sets.
 
@@ -150,21 +140,20 @@ def set_metrics(generated, reference, base_metric="chamfer") -> dict:
     """
     if len(generated) == 0 or len(reference) == 0:
         raise ValidationError("set_metrics needs nonempty lists")
-    cross = _pairwise(generated, reference, base_metric)
+    fn = {"chamfer": chamfer, "emd": emd_approx}.get(base_metric, base_metric)
+    if not callable(fn):
+        raise ValidationError(f"unknown base metric {base_metric!r}")
+    pool = list(generated) + list(reference)
+    full = np.full((len(pool), len(pool)), np.inf)
+    for i in range(len(pool)):
+        for j in range(i + 1, len(pool)):
+            full[i, j] = full[j, i] = fn(pool[i], pool[j])
+    cross = full[:len(generated), len(generated):]  # fn(generated, reference)
     nearest_ref = np.argmin(cross, axis=1)
     cov = len(set(nearest_ref.tolist())) / len(reference)
     mmd = float(cross.min(axis=0).mean())
 
-    pool = list(generated) + list(reference)
     labels = np.array([0] * len(generated) + [1] * len(reference))
-    full = np.empty((len(pool), len(pool)))
-    fn = {"chamfer": chamfer, "emd": emd_approx}.get(base_metric, base_metric)
-    for i in range(len(pool)):
-        full[i, i] = np.inf
-        for j in range(i + 1, len(pool)):
-            d = fn(pool[i], pool[j])
-            full[i, j] = d
-            full[j, i] = d
     nn = np.argmin(full, axis=1)
     acc = float(np.mean(labels[nn] == labels))
     return {"COV": cov, "MMD": mmd, "1-NNA": acc}
@@ -177,6 +166,7 @@ _IMAGE_SIZE = 128
 _ZERNIKE_MAX_ORDER = 10
 _FOURIER_COUNT = 10
 _ANGLE_BINS = 64
+_PAIR_BLOCK = 1 << 18  # (triangle, pixel) pairs rasterized at once
 
 
 def _dodecahedron_views() -> np.ndarray:
@@ -210,31 +200,40 @@ def _view_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _rasterize(points2d: np.ndarray, triangles: np.ndarray,
                size: int = _IMAGE_SIZE) -> np.ndarray:
-    """Orthographic fill of 2D triangles over the [-1, 1]^2 window."""
+    """Orthographic fill of 2D triangles over the [-1, 1]^2 window.
+
+    Each triangle is tested at the pixel centers of its bounding-box window,
+    grown by one pixel and clipped to the image; the (triangle, pixel) pairs
+    of consecutive triangles are tested together, about _PAIR_BLOCK at once.
+    """
     img = np.zeros((size, size), dtype=bool)
     px = (np.arange(size) + 0.5) / size * 2.0 - 1.0
-    for tri in triangles:
-        a, b, c = points2d[tri]
-        lo = np.minimum(np.minimum(a, b), c)
-        hi = np.maximum(np.maximum(a, b), c)
-        i0 = max(int(np.searchsorted(px, lo[0])) - 1, 0)
-        i1 = min(int(np.searchsorted(px, hi[0])) + 1, size)
-        j0 = max(int(np.searchsorted(px, lo[1])) - 1, 0)
-        j1 = min(int(np.searchsorted(px, hi[1])) + 1, size)
-        if i0 >= i1 or j0 >= j1:
-            continue
-        gx = px[i0:i1][:, None]
-        gy = px[j0:j1][None, :]
-        d0 = (b[0] - a[0]) * (gy - a[1]) - (b[1] - a[1]) * (gx - a[0])
-        d1 = (c[0] - b[0]) * (gy - b[1]) - (c[1] - b[1]) * (gx - b[0])
-        d2 = (a[0] - c[0]) * (gy - c[1]) - (a[1] - c[1]) * (gx - c[0])
+    tri = points2d[triangles]  # (T, 3, 2)
+    lo, hi = tri.min(axis=1), tri.max(axis=1)
+    start = np.maximum(np.searchsorted(px, lo) - 1, 0)  # (T, 2) pixel windows
+    extent = np.maximum(np.minimum(np.searchsorted(px, hi) + 1, size) - start, 0)
+    count = extent[:, 0] * extent[:, 1]
+    first = np.cumsum(count) - count
+    cuts = np.searchsorted(first, np.arange(0, count.sum() + _PAIR_BLOCK, _PAIR_BLOCK))
+    for t0, t1 in zip(cuts[:-1], cuts[1:]):
+        owner, rank = _ragged(count[t0:t1])
+        t = t0 + owner
+        ii = start[t, 0] + rank // extent[t, 1]
+        jj = start[t, 1] + rank % extent[t, 1]
+        gx, gy = px[ii], px[jj]
+        (ax, ay), (bx, by), (cx, cy) = tri[t].transpose(1, 2, 0)
+        d0 = (bx - ax) * (gy - ay) - (by - ay) * (gx - ax)
+        d1 = (cx - bx) * (gy - by) - (cy - by) * (gx - bx)
+        d2 = (ax - cx) * (gy - cy) - (ay - cy) * (gx - cx)
         inside = ((d0 >= 0) & (d1 >= 0) & (d2 >= 0)) | \
                  ((d0 <= 0) & (d1 <= 0) & (d2 <= 0))
-        img[i0:i1, j0:j1] |= inside
+        img[ii[inside], jj[inside]] = True
     return img
 
 
-def _zernike_basis(size: int = _IMAGE_SIZE):
+@functools.lru_cache(maxsize=4)
+def _zernike_basis(size: int = _IMAGE_SIZE) -> np.ndarray:
+    """(35, size * size) read-only moment rows, orders 1..10, per image size."""
     px = (np.arange(size) + 0.5) / size * 2.0 - 1.0
     gx = px[:, None] * np.ones((1, size))
     gy = np.ones((size, 1)) * px[None, :]
@@ -242,7 +241,6 @@ def _zernike_basis(size: int = _IMAGE_SIZE):
     disk = rho <= 1.0
     theta = np.arctan2(gy, gx)
     rows = []
-    pairs = []
     for n_ord in range(1, _ZERNIKE_MAX_ORDER + 1):
         for m_ord in range(n_ord % 2, n_ord + 1, 2):
             radial = np.zeros_like(rho)
@@ -255,11 +253,9 @@ def _zernike_basis(size: int = _IMAGE_SIZE):
             basis = radial * np.exp(-1j * m_ord * theta)
             basis = basis * disk * ((n_ord + 1) / math.pi) * (2.0 / size) ** 2
             rows.append(basis.reshape(-1))
-            pairs.append((n_ord, m_ord))
-    return np.array(rows), pairs
-
-
-_ZERNIKE_CACHE: dict = {}
+    out = np.array(rows)
+    out.setflags(write=False)  # one array is shared by every caller
+    return out
 
 
 def zernike_magnitudes(image: np.ndarray) -> np.ndarray:
@@ -268,10 +264,7 @@ def zernike_magnitudes(image: np.ndarray) -> np.ndarray:
     size = image.shape[0]
     if image.shape != (size, size):
         raise ValidationError("zernike_magnitudes expects a square image")
-    if size not in _ZERNIKE_CACHE:
-        _ZERNIKE_CACHE[size] = _zernike_basis(size)
-    basis, _ = _ZERNIKE_CACHE[size]
-    return np.abs(basis @ image.astype(np.float64).reshape(-1))
+    return np.abs(_zernike_basis(size) @ image.astype(np.float64).reshape(-1))
 
 
 def contour_fourier_magnitudes(image: np.ndarray) -> np.ndarray:

@@ -205,6 +205,7 @@ class _Bvh:
         self.tri_a = verts[tris[:, 0]]
         self.tri_b = verts[tris[:, 1]]
         self.tri_c = verts[tris[:, 2]]
+        self.coord_max = float(np.abs(verts).max())
         t_lo = np.minimum(np.minimum(self.tri_a, self.tri_b), self.tri_c)
         t_hi = np.maximum(np.maximum(self.tri_a, self.tri_b), self.tri_c)
         cent = (t_lo + t_hi) / 2.0
@@ -242,23 +243,17 @@ class _Bvh:
         self.start = np.array(starts)
         self.count = np.array(counts)
         self.perm = np.array(perm, dtype=np.int64)
-        self.centroids = cent
-        # circumscribing radius per triangle around its bbox center
-        self.tri_radius = np.max(
-            [np.linalg.norm(v - cent, axis=1) for v in (self.tri_a, self.tri_b, self.tri_c)],
-            axis=0,
-        )
+        # largest circumscribing radius of a triangle around its bbox center
+        self.max_tri_radius = float(max(
+            np.linalg.norm(v - cent, axis=1).max()
+            for v in (self.tri_a, self.tri_b, self.tri_c)))
         self._kd = cKDTree(cent)
-
-    @property
-    def max_tri_radius(self) -> float:
-        return float(self.tri_radius.max())
 
     def nearest_centroid(self, points: np.ndarray):
         """(distance, triangle index) of the nearest triangle centroid."""
         return self._kd.query(points)
 
-    def closest_distance(self, points: np.ndarray, chunk: int = 65536) -> np.ndarray:
+    def closest_distance(self, points: np.ndarray, chunk: int = 8192) -> np.ndarray:
         """Exact unsigned distance from each point to the nearest triangle."""
         out = np.empty(len(points))
         for s in range(0, len(points), chunk):
@@ -267,8 +262,13 @@ class _Bvh:
 
     def _closest_chunk(self, points: np.ndarray) -> np.ndarray:
         n = len(points)
-        seed_d, seed_i = self._kd.query(points)
-        best = (seed_d + self.tri_radius[seed_i]) ** 2  # valid upper bound
+        # the nearest-centroid triangle's exact distance bounds the minimum
+        _, seed = self._kd.query(points)
+        best = _point_triangle_dist2(points, self.tri_a[seed], self.tri_b[seed],
+                                     self.tri_c[seed])
+        # A computed distance can sit a few coordinate ulps below its box's
+        # bound; cutting only past that keeps every near-tie in the search.
+        slack = 64 * np.finfo(np.float64).eps * (self.coord_max + np.abs(points).max())
         pair_p = np.arange(n)
         pair_n = np.zeros(n, dtype=np.int64)  # all start at the root
         while len(pair_p):
@@ -276,19 +276,16 @@ class _Bvh:
             hi = self.box_hi[pair_n]
             gap = np.maximum(np.maximum(lo - points[pair_p], points[pair_p] - hi), 0.0)
             lb = np.einsum("ij,ij->i", gap, gap)
-            keep = lb < best[pair_p]
+            keep = lb < (np.sqrt(best[pair_p]) + slack) ** 2
             pair_p, pair_n = pair_p[keep], pair_n[keep]
             if not len(pair_p):
                 break
             is_leaf = self.left[pair_n] < 0
             lp, ln = pair_p[is_leaf], pair_n[is_leaf]
             if len(lp):
-                reps = self.count[ln]
-                total = int(reps.sum())
-                ends = np.cumsum(reps)
-                flat_slot = np.arange(total) - np.repeat(ends - reps, reps)
-                flat_t = self.perm[np.repeat(self.start[ln], reps) + flat_slot]
-                flat_p = np.repeat(lp, reps)
+                owner, slot = _ragged(self.count[ln])
+                flat_t = self.perm[self.start[ln][owner] + slot]
+                flat_p = lp[owner]
                 d2 = _point_triangle_dist2(
                     points[flat_p], self.tri_a[flat_t], self.tri_b[flat_t], self.tri_c[flat_t]
                 )
@@ -348,114 +345,127 @@ _PERTURB = 1e-7
 _PARITY_RETRIES = 3
 
 
-def _axis_crossings(verts_uvw, pu, pv):
-    """Ray crossings along the last ("w") coordinate for query points (pu, pv).
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, rank) of each slot when item i owns counts[i] consecutive slots."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, rank
 
-    verts_uvw: (T, 3, 3) triangle vertices permuted so the ray axis is the
-    final coordinate.  Returns, for the dense (points x triangles) pairing,
-    the crossing coordinate, a hit mask, and a boundary-graze mask.
-    """
-    au, av, aw = verts_uvw[:, 0, 0], verts_uvw[:, 0, 1], verts_uvw[:, 0, 2]
-    bu, bv, bw = verts_uvw[:, 1, 0], verts_uvw[:, 1, 1], verts_uvw[:, 1, 2]
-    cu, cv, cw = verts_uvw[:, 2, 0], verts_uvw[:, 2, 1], verts_uvw[:, 2, 2]
-    denom = (bu - au) * (cv - av) - (bv - av) * (cu - au)  # (T,)
-    pu = pu[:, None]
-    pv = pv[:, None]
-    wa = (bu - pu) * (cv - pv) - (bv - pv) * (cu - pu)
-    wb = (cu - pu) * (av - pv) - (cv - pv) * (au - pu)
-    wc = (au - pu) * (bv - pv) - (av - pv) * (bu - pu)
-    scale = np.abs(denom)
-    degenerate = scale <= _PARITY_EPS
-    scale_safe = np.where(degenerate, 1.0, denom)
-    ba = wa / scale_safe
-    bb = wb / scale_safe
-    bc = wc / scale_safe
-    tol = _PARITY_EPS / np.maximum(scale, _PARITY_EPS)
+
+def _box_pairs(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray):
+    """(point, box) index pairs with the 2D point inside the closed box
+    [lo, hi].  Points are binned on a uniform grid of about one point per
+    cell, so each box visits only the cells it overlaps."""
+    if not len(pts):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    g = max(int(math.sqrt(len(pts))), 1)
+    base = pts.min(axis=0)
+    span = pts.max(axis=0) - base
+    width = np.where(span > 0, span / g, 1.0)
+
+    def cell(x):
+        return np.clip(np.floor((x - base) / width), 0, g - 1).astype(np.int64)
+
+    c0 = cell(lo)
+    nc = cell(hi) - c0 + 1
+    box, rank = _ragged(nc[:, 0] * nc[:, 1])
+    key = (c0[box, 0] + rank // nc[box, 1]) * g + c0[box, 1] + rank % nc[box, 1]
+    pc = cell(pts) @ np.array([g, 1])
+    order = np.argsort(pc, kind="stable")
+    first = np.concatenate([[0], np.bincount(pc, minlength=g * g).cumsum()])
+    slot, rank = _ragged(first[key + 1] - first[key])
+    point, box = order[first[key][slot] + rank], box[slot]
+    inside = np.all((pts[point] >= lo[box]) & (pts[point] <= hi[box]), axis=1)
+    return point[inside], box[inside]
+
+
+def _crossings(tv, denom, ray, tri, pu, pv):
+    """Crossing coordinate, hit mask and boundary-graze mask of each
+    (ray, triangle) pair.  Rays run along the last ("w") coordinate of the
+    permuted triangle vertices tv (T, 3, 3) through (pu, pv)."""
+    (au, av, aw), (bu, bv, bw), (cu, cv, cw) = tv[tri].transpose(1, 2, 0)
+    qu, qv = pu[ray], pv[ray]
+    wa = (bu - qu) * (cv - qv) - (bv - qv) * (cu - qu)
+    wb = (cu - qu) * (av - qv) - (cv - qv) * (au - qu)
+    wc = (au - qu) * (bv - qv) - (av - qv) * (bu - qu)
+    d = denom[tri]
+    ba, bb, bc = wa / d, wb / d, wc / d
+    tol = _PARITY_EPS / np.abs(d)
     inside = (ba > tol) & (bb > tol) & (bc > tol)
     graze = (
         (np.abs(ba) <= tol) | (np.abs(bb) <= tol) | (np.abs(bc) <= tol)
     ) & (ba >= -tol) & (bb >= -tol) & (bc >= -tol)
-    inside &= ~degenerate
-    graze &= ~degenerate
-    w_cross = ba * aw + bb * bw + bc * cw
-    return w_cross, inside, graze
+    return ba * aw + bb * bw + bc * cw, inside, graze
 
 
-def _parity_along_axis(mesh: TriangleMesh, points: np.ndarray, axis: int,
-                       chunk: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """(odd_parity, uncertain) for +axis rays from each point."""
-    other = [ax for ax in range(3) if ax != axis]
-    tv = mesh.vertices[mesh.triangles]  # (T, 3, 3)
-    tv = tv[:, :, other + [axis]]
-    n = len(points)
-    odd = np.zeros(n, dtype=bool)
-    uncertain = np.zeros(n, dtype=bool)
-    for s in range(0, n, chunk):
-        pts = points[s:s + chunk]
-        pu = pts[:, other[0]].copy()
-        pv = pts[:, other[1]].copy()
-        pw = pts[:, axis]
-        pending = np.arange(len(pts))
-        for attempt in range(_PARITY_RETRIES + 1):
-            w_cross, inside, graze = _axis_crossings(tv, pu[pending], pv[pending])
-            ahead = inside & (w_cross > pw[pending, None])
-            counts = ahead.sum(axis=1)
-            grazed = graze.any(axis=1)
-            ok = ~grazed
-            idx = pending[ok]
-            odd[s + idx] = (counts[ok] % 2) == 1
-            pending = pending[grazed]
-            if not len(pending):
-                break
-            if attempt == _PARITY_RETRIES:
-                uncertain[s + pending] = True  # treated as outside
-                break
-            delta = _PERTURB * (attempt + 1)
-            sign_u = 1.0 if attempt % 2 == 0 else -1.0
-            pu[pending] = pts[pending, other[0]] + sign_u * delta
-            pv[pending] = pts[pending, other[1]] + delta
-    return odd, uncertain
+def _ray_crossings(mesh: TriangleMesh, uv: np.ndarray, axis: int):
+    """Crossings of the +axis rays through the points uv (N, 2) of the other
+    two coordinates, in axis order: (ray, w) of each crossing, and the mask
+    of sign-uncertain rays.
 
-
-def _grid_parity(mesh: TriangleMesh, coords: np.ndarray, axis: int,
-                 chunk_rows: int = 2048) -> np.ndarray:
-    """Odd-parity grid for +axis rays from every voxel center.
-
-    All voxels of a grid row share a ray line, so crossings are computed
-    once per row and compared against the row's coordinates.
+    A ray that grazes an edge or vertex is retried up to _PARITY_RETRIES
+    times, shifted by k * _PERTURB; one still grazing is uncertain and
+    reports no crossings, so it counts as outside.  A (ray, triangle) pair
+    is evaluated only with the ray inside the triangle's 2D box, grown by
+    the largest shift and by how far a grazing ray can lie outside it: two
+    barycentrics down to -tol, tol = _PARITY_EPS / |denom|, plus rounding.
+    Near-flat triangles (|denom| <= _PARITY_EPS) are never hit.
     """
     other = [ax for ax in range(3) if ax != axis]
     tv = mesh.vertices[mesh.triangles][:, :, other + [axis]]
+    (au, av), (bu, bv), (cu, cv) = tv[:, :, :2].transpose(1, 2, 0)
+    denom = (bu - au) * (cv - av) - (bv - av) * (cu - au)
+    hittable = np.abs(denom) > _PARITY_EPS
+    tv, denom = tv[hittable], denom[hittable]
+    lo, hi = tv[:, :, :2].min(axis=1), tv[:, :, :2].max(axis=1)
+    # edge-function rounding: a few ulps of products of coordinates
+    size = 1.0 + max(np.abs(tv[:, :, :2]).max(initial=0.0), np.abs(uv).max(initial=0.0))
+    reach = (_PARITY_EPS + 64 * np.finfo(np.float64).eps * size ** 2) / np.abs(denom)
+    margin = 2.0 * reach[:, None] * (hi - lo) + 3 * _PERTURB
+    ray, tri = _box_pairs(lo - margin, hi + margin, uv)
+
+    qu, qv = uv.T.copy()
+    pending = np.ones(len(qu), dtype=bool)
+    hit_ray, hit_w = [], []
+    for attempt in range(_PARITY_RETRIES + 1):
+        live = pending[ray]
+        ray, tri = ray[live], tri[live]
+        w, inside, graze = _crossings(tv, denom, ray, tri, qu, qv)
+        pending = np.zeros(len(qu), dtype=bool)
+        pending[ray[graze]] = True
+        ok = inside & ~pending[ray]
+        hit_ray.append(ray[ok])
+        hit_w.append(w[ok])
+        if attempt == _PARITY_RETRIES or not pending.any():
+            break
+        delta = _PERTURB * (attempt + 1)
+        qu[pending] = uv[pending, 0] + (delta if attempt % 2 == 0 else -delta)
+        qv[pending] = uv[pending, 1] + delta
+    return np.concatenate(hit_ray), np.concatenate(hit_w), pending
+
+
+def _parity_along_axis(mesh: TriangleMesh, points: np.ndarray,
+                       axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """(odd_parity, uncertain) for +axis rays from each point."""
+    ray, w, uncertain = _ray_crossings(mesh, np.delete(points, axis, axis=1), axis)
+    ahead = w > points[ray, axis]
+    odd = np.bincount(ray[ahead], minlength=len(points)) % 2 == 1
+    return odd, uncertain
+
+
+def _grid_parity(mesh: TriangleMesh, coords: np.ndarray, axis: int) -> np.ndarray:
+    """Odd-parity grid for +axis rays from every voxel center.
+
+    All voxels of a grid row share a ray line, so crossings are found once
+    per row; a crossing at w lies ahead of the row's voxels with coords < w.
+    """
     n = len(coords)
-    U, V = np.meshgrid(coords, coords, indexing="ij")
-    row_u = U.ravel().copy()
-    row_v = V.ravel().copy()
-    par = np.zeros((n * n, n), dtype=bool)
-    for s in range(0, n * n, chunk_rows):
-        cu = row_u[s:s + chunk_rows]
-        cv = row_v[s:s + chunk_rows]
-        pending = np.arange(len(cu))
-        for attempt in range(_PARITY_RETRIES + 1):
-            w_cross, inside, graze = _axis_crossings(tv, cu[pending], cv[pending])
-            grazed = graze.any(axis=1)
-            ok_rows = pending[~grazed]
-            w_ok = w_cross[~grazed]
-            in_ok = inside[~grazed]
-            for r_local, w_row, in_row in zip(ok_rows, w_ok, in_ok):
-                w = np.sort(w_row[in_row])
-                if len(w):
-                    ahead = len(w) - np.searchsorted(w, coords, side="right")
-                    par[s + r_local] = (ahead % 2) == 1
-            pending = pending[grazed]
-            if not len(pending):
-                break
-            if attempt == _PARITY_RETRIES:
-                break  # sign-uncertain rows stay outside
-            delta = _PERTURB * (attempt + 1)
-            sign_u = 1.0 if attempt % 2 == 0 else -1.0
-            cu[pending] = row_u[s + pending] + sign_u * delta
-            cv[pending] = row_v[s + pending] + delta
-    cube = par.reshape(n, n, n)  # dims ordered (other0, other1, axis)
+    rows = np.stack(np.meshgrid(coords, coords, indexing="ij"), axis=-1).reshape(-1, 2)
+    ray, w, _ = _ray_crossings(mesh, rows, axis)
+    passed = np.searchsorted(coords, w)  # voxels 0..passed-1 have the crossing ahead
+    hist = np.bincount(ray * (n + 1) + passed, minlength=n * n * (n + 1))
+    ahead = np.cumsum(hist.reshape(n * n, n + 1)[:, ::-1], axis=1)[:, -2::-1]
+    cube = (ahead % 2 == 1).reshape(n, n, n)  # dims ordered (other0, other1, axis)
     return np.moveaxis(cube, 2, axis)
 
 

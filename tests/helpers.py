@@ -167,3 +167,92 @@ def boundary_edge_count(tris: np.ndarray) -> int:
             key = (min(u, v), max(u, v))
             seen[key] = seen.get(key, 0) + 1
     return sum(1 for count in seen.values() if count != 2)
+
+
+# ---------------------------------------------------------------------------
+# Geometry kernels: per-triangle rasterizer and dense ray parity
+
+
+def rasterize_reference(points2d, triangles, size):
+    """Fill 2D triangles over the [-1, 1]^2 window one triangle at a time,
+    testing each at the pixel centers of its bounding-box window grown by
+    one pixel and clipped to the image."""
+    img = np.zeros((size, size), dtype=bool)
+    px = (np.arange(size) + 0.5) / size * 2.0 - 1.0
+    for tri in triangles:
+        a, b, c = points2d[tri]
+        lo = np.minimum(np.minimum(a, b), c)
+        hi = np.maximum(np.maximum(a, b), c)
+        i0 = max(int(np.searchsorted(px, lo[0])) - 1, 0)
+        i1 = min(int(np.searchsorted(px, hi[0])) + 1, size)
+        j0 = max(int(np.searchsorted(px, lo[1])) - 1, 0)
+        j1 = min(int(np.searchsorted(px, hi[1])) + 1, size)
+        if i0 >= i1 or j0 >= j1:
+            continue
+        gx = px[i0:i1][:, None]
+        gy = px[j0:j1][None, :]
+        d0 = (b[0] - a[0]) * (gy - a[1]) - (b[1] - a[1]) * (gx - a[0])
+        d1 = (c[0] - b[0]) * (gy - b[1]) - (c[1] - b[1]) * (gx - b[0])
+        d2 = (a[0] - c[0]) * (gy - c[1]) - (a[1] - c[1]) * (gx - c[0])
+        inside = ((d0 >= 0) & (d1 >= 0) & (d2 >= 0)) | \
+                 ((d0 <= 0) & (d1 <= 0) & (d2 <= 0))
+        img[i0:i1, j0:j1] |= inside
+    return img
+
+
+def _dense_crossings(tv, pu, pv, eps):
+    """Every ray against every triangle: crossing coordinate, hit mask and
+    boundary-graze mask, each of shape (rays, triangles)."""
+    au, av, aw = tv[:, 0, 0], tv[:, 0, 1], tv[:, 0, 2]
+    bu, bv, bw = tv[:, 1, 0], tv[:, 1, 1], tv[:, 1, 2]
+    cu, cv, cw = tv[:, 2, 0], tv[:, 2, 1], tv[:, 2, 2]
+    denom = (bu - au) * (cv - av) - (bv - av) * (cu - au)
+    pu = pu[:, None]
+    pv = pv[:, None]
+    wa = (bu - pu) * (cv - pv) - (bv - pv) * (cu - pu)
+    wb = (cu - pu) * (av - pv) - (cv - pv) * (au - pu)
+    wc = (au - pu) * (bv - pv) - (av - pv) * (bu - pu)
+    scale = np.abs(denom)
+    degenerate = scale <= eps
+    scale_safe = np.where(degenerate, 1.0, denom)
+    ba = wa / scale_safe
+    bb = wb / scale_safe
+    bc = wc / scale_safe
+    tol = eps / np.maximum(scale, eps)
+    inside = (ba > tol) & (bb > tol) & (bc > tol) & ~degenerate
+    graze = ((np.abs(ba) <= tol) | (np.abs(bb) <= tol) | (np.abs(bc) <= tol)) \
+        & (ba >= -tol) & (bb >= -tol) & (bc >= -tol) & ~degenerate
+    return ba * aw + bb * bw + bc * cw, inside, graze
+
+
+def ray_crossings_reference(vertices, triangles, pu, pv, axis,
+                            eps=1e-12, perturb=1e-7, retries=3):
+    """Crossings of +axis rays through (pu, pv), every ray tested against
+    every triangle.  A ray grazing an edge or vertex is retried from its
+    original position shifted by (+-k * perturb, k * perturb), k = 1, 2, ...
+
+    Returns, per ray, the sorted crossing coordinates (None when the ray
+    still grazes after the last retry), and which rays were retried.
+    """
+    other = [ax for ax in range(3) if ax != axis]
+    tv = vertices[triangles][:, :, other + [axis]]
+    pu = np.asarray(pu, dtype=np.float64)
+    pv = np.asarray(pv, dtype=np.float64)
+    qu, qv = pu.copy(), pv.copy()
+    crossings = [None] * len(pu)
+    retried = np.zeros(len(pu), dtype=bool)
+    pending = np.arange(len(pu))
+    for attempt in range(retries + 1):
+        w, inside, graze = _dense_crossings(tv, qu[pending], qv[pending], eps)
+        grazed = graze.any(axis=1)
+        for k, ray in enumerate(pending):
+            if not grazed[k]:
+                crossings[ray] = np.sort(w[k][inside[k]])
+        pending = pending[grazed]
+        if not len(pending) or attempt == retries:
+            break
+        retried[pending] = True
+        delta = perturb * (attempt + 1)
+        qu[pending] = pu[pending] + (delta if attempt % 2 == 0 else -delta)
+        qv[pending] = pv[pending] + delta
+    return crossings, retried

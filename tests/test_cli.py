@@ -77,6 +77,12 @@ def _wsp1_with(tmp_path, blob):
     return ["reconstruct", "--input", path, "--out", tmp_path / "o"]
 
 
+def _wsv1_with(tmp_path, blob):
+    path = tmp_path / "bad.wsv1"
+    path.write_bytes(blob)
+    return ["decompose", "--input", path, "--out", tmp_path / "o"]
+
+
 def _obj_with(tmp_path, text):
     path = tmp_path / "bad.obj"
     path.write_text(text)
@@ -88,6 +94,9 @@ MALFORMED = {
         tmp, "v 0 0 0\nv 1 0 x\nv 0 1 0\nf 1 2 3\n"),
     "obj-face-token": lambda tmp, _: _obj_with(
         tmp, "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n"),
+    "wsv1-header-dims": lambda tmp, _: _wsv1_with(
+        tmp, struct.pack("<4s3I6dB", b"WSV1", 2 ** 31, 2 ** 31, 2 ** 31,
+                         0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0) + bytes(64)),
     "wsp1-short-header": lambda tmp, _: _wsp1_with(tmp, b"WSP1\x02\x00"),
     "wsp1-bank-name": lambda tmp, _: _wsp1_with(
         tmp, b"WSP1" + struct.pack("<IB", 1, 2) + b"\xff\xfe"),

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import helpers
+from waveshape import metrics
 from waveshape import rng as rng_mod
 from waveshape.errors import ShapeMismatchError, ValidationError
 from waveshape.metrics import (chamfer, contour_fourier_magnitudes,
@@ -232,6 +234,35 @@ def test_contour_fourier_circle_has_tiny_harmonics():
     square = (np.abs(gx) < 0.6) & (np.abs(gy) < 0.6)
     assert contour_fourier_magnitudes(square).max() > 0.02
     assert np.all(contour_fourier_magnitudes(np.zeros((8, 8), bool)) == 0.0)
+
+
+@pytest.mark.parametrize("block", [97, 1 << 18])
+def test_rasterize_matches_per_triangle_loop(monkeypatch, block):
+    monkeypatch.setattr(metrics, "_PAIR_BLOCK", block)
+    gen = np.random.default_rng(8)
+    for trial in range(6):
+        size = (16, 37, 128)[trial % 3]
+        n_verts = 40
+        # vertices reach past the [-1, 1] window; some triangles are tiny
+        pts = gen.uniform(-1.4, 1.4, size=(n_verts, 2))
+        pts[:10] = pts[10] + gen.normal(scale=0.01, size=(10, 2))
+        tris = gen.integers(0, n_verts, size=(60, 3))
+        tris[:5, 2] = tris[:5, 1]  # zero-area: a repeated vertex
+        pts[20] = (pts[21] + pts[22]) / 2  # zero-area: collinear
+        tris[5] = (20, 21, 22)
+        # vertices on pixel centers put pixels exactly on edges (d == 0)
+        px = (np.arange(size) + 0.5) / size * 2.0 - 1.0
+        pts[30:] = px[gen.integers(0, size, size=(10, 2))]
+        tris[6:20] = gen.integers(30, n_verts, size=(14, 3))
+        tris[20] = (30, 31, 31)
+        expect = helpers.rasterize_reference(pts, tris, size)
+        got = metrics._rasterize(pts, tris, size)
+        np.testing.assert_array_equal(got, expect)
+        assert got.any() and not got.all()
+        for tri in tris[:21]:  # alone, so no other triangle covers its edges
+            np.testing.assert_array_equal(
+                metrics._rasterize(pts, tri[None], size),
+                helpers.rasterize_reference(pts, tri[None], size))
 
 
 def test_lfd_self_translation_and_scale():

@@ -7,14 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from waveshape.errors import ValidationError
 from waveshape.grid import Volume3
+from waveshape.surface import marching_cubes
 from waveshape.tsdf import (NORMALIZED_EXTENT, TRUNCATION, BoxSource,
                             CapsuleSource, GridSdfSource, IntersectSource,
                             MeshSdfSource, SphereSource, SubtractSource,
                             TorusSource, TriangleMesh, UnionSource, grid_axis,
                             icosphere, mesh_signed_distance, normalize_mesh,
-                            read_obj, sample_tsdf, scene_from_dict, write_obj)
+                            _grid_parity, _parity_along_axis,
+                            _point_triangle_dist2, read_obj, sample_tsdf,
+                            scene_from_dict, write_obj)
 
 
 def _random_points(seed, n=64, scale=1.2):
@@ -201,6 +205,95 @@ def test_mesh_grid_parity_agrees_with_pointwise(unit_icosphere):
         d = mesh_signed_distance(unit_icosphere, (ax[i], ax[j], ax[k]))
         expect = min(max(d, -TRUNCATION), TRUNCATION)
         assert float(vol.values[i, j, k]) == pytest.approx(expect, abs=1e-9)
+
+
+def _grid_box_mesh(coords):
+    """Axis-aligned box with corners on voxel centers: rays along grid rows
+    run exactly along its edges and face diagonals."""
+    lo, hi = coords[3], coords[12]
+    verts = np.array([[x, y, z] for x in (lo, hi) for y in (lo, hi)
+                      for z in (lo, hi)])
+    tris = np.array([[0, 1, 3], [0, 3, 2], [4, 6, 7], [4, 7, 5], [0, 4, 5],
+                     [0, 5, 1], [2, 3, 7], [2, 7, 6], [0, 2, 6], [0, 6, 4],
+                     [1, 5, 7], [1, 7, 3]])
+    return TriangleMesh(verts, tris)
+
+
+def _sliver_mesh(coords):
+    """Pairs of triangles seen edge-on along z (|denom| = 1.2e-12, so the
+    graze tolerance is 0.83 in barycentrics).  Each pair lies on the two
+    diagonals through a voxel-center ray that is outside both 2D boxes but
+    inside their graze zones; every retry shift keeps it on one diagonal, so
+    that ray stays uncertain."""
+    verts, tris = [], []
+    e = 2.4e-12
+    for (i, j), step in (((4, 5), 0.125), ((10, 9), -0.125), ((7, 12), 0.125)):
+        p = np.array([coords[i], coords[j]])
+        for sign in (1.0, -1.0):
+            d = np.array([1.0, sign])
+            a = p + step * d
+            b = p + 3 * step * d
+            c = (a + b) / 2 + e * np.array([1.0, -sign])
+            base = len(verts)
+            verts += [[*a, -0.5], [*b, 0.5], [*c, 0.1]]
+            tris.append([base, base + 1, base + 2])
+    return TriangleMesh(np.array(verts), np.array(tris))
+
+
+@pytest.mark.parametrize("kind", ["box", "slivers", "icosphere"])
+def test_ray_parity_matches_dense_reference(kind):
+    coords = grid_axis(16)
+    mesh = {"box": _grid_box_mesh, "slivers": _sliver_mesh,
+            "icosphere": lambda _: icosphere(2, 0.6)}[kind](coords)
+    gen = np.random.default_rng(21)
+    X, Y, Z = np.meshgrid(coords, coords, coords, indexing="ij")
+    points = np.concatenate([np.stack([X.ravel(), Y.ravel(), Z.ravel()], 1),
+                             gen.uniform(-1.0, 1.0, size=(200, 3))])
+    U, V = np.meshgrid(coords, coords, indexing="ij")
+    for axis in range(3):
+        other = [ax for ax in range(3) if ax != axis]
+        # pointwise (odd, uncertain)
+        ref, _ = helpers.ray_crossings_reference(
+            mesh.vertices, mesh.triangles, points[:, other[0]],
+            points[:, other[1]], axis)
+        odd, uncertain = _parity_along_axis(mesh, points, axis)
+        np.testing.assert_array_equal(uncertain, [c is None for c in ref])
+        np.testing.assert_array_equal(
+            odd, [c is not None and int((c > p).sum()) % 2 == 1
+                  for c, p in zip(ref, points[:, axis])])
+        # sign grid: one ray per row, compared against every voxel center
+        rows, retried = helpers.ray_crossings_reference(
+            mesh.vertices, mesh.triangles, U.ravel(), V.ravel(), axis)
+        expect = np.array([np.zeros(len(coords), dtype=bool) if c is None
+                           else (c[None, :] > coords[:, None]).sum(1) % 2 == 1
+                           for c in rows]).reshape(16, 16, 16)
+        np.testing.assert_array_equal(_grid_parity(mesh, coords, axis),
+                                      np.moveaxis(expect, 2, axis))
+        if kind == "box":
+            assert retried.any()  # rows along edges exercise the retry path
+        if kind == "slivers" and axis == 2:
+            # the graze zone reaches rays outside every sliver's 2D box
+            for i, j in ((4, 5), (10, 9), (7, 12)):
+                assert rows[i * 16 + j] is None
+
+
+@pytest.mark.parametrize("kind", ["icosphere", "box"])
+def test_closest_distance_matches_brute_force(kind):
+    if kind == "icosphere":
+        mesh = icosphere(2, 0.6)
+    else:  # flat faces of many coplanar triangles: distances tie to rounding
+        box = BoxSource((0.05, 0.0, -0.1), (0.5, 0.3, 0.4))
+        mesh = normalize_mesh(marching_cubes(sample_tsdf(box, 16)))
+    coords = grid_axis(12)
+    X, Y, Z = np.meshgrid(coords, coords, coords, indexing="ij")
+    points = np.concatenate([np.stack([X.ravel(), Y.ravel(), Z.ravel()], 1),
+                             _random_points(17, n=200)])
+    a, b, c = (mesh.vertices[mesh.triangles[:, k]] for k in range(3))
+    expect = np.array([
+        math.sqrt(_point_triangle_dist2(np.repeat(p[None], len(a), 0),
+                                        a, b, c).min()) for p in points])
+    got = MeshSdfSource(mesh)._bvh.closest_distance(points)
+    np.testing.assert_array_equal(got, expect)
 
 
 # ---------------------------------------------------------------------------
