@@ -3,7 +3,8 @@
 Every subcommand writes a ``run.json`` manifest (command line, seed, model
 digest, tool version) into its output directory so a rerun with the same
 arguments reproduces every artifact byte for byte.  ``WAVESHAPE_THREADS``
-caps the thread pool used for independent shapes.
+caps the thread pool used for meshing, ``eval`` and ``novelty``; diffusion
+chains run as the rows of one batched ``sample`` call.
 """
 
 from __future__ import annotations
@@ -93,29 +94,21 @@ def _load_shape_volume(path: str, res: int | None) -> Volume3:
 
 
 class _ReconContext:
-    """Corpus-derived machinery for turning coarse volumes into meshes."""
+    """Corpus-derived machinery for turning coarse volumes into meshes; the
+    model must store the reconstruction data."""
 
     def __init__(self, manifest_path: str):
-        self.bundle = load_model(manifest_path)
-        self.template = self.bundle.denoiser.volumes[0]
-
-    @property
-    def coarse_dims(self):
-        return self.template.dims
-
-    def require_reconstruction(self):
-        b = self.bundle
+        self.bundle = b = load_model(manifest_path)
         if b.detail_predictor is None or b.dims_table is None or b.bank_name is None:
             raise ValidationError(
                 "model corpus lacks detail volumes / reconstruction metadata")
+        self.template = b.denoiser.volumes[0]
 
-    def to_mesh(self, coarse: Volume3) -> tuple[Volume3, TriangleMesh]:
-        self.require_reconstruction()
-        coarse = self.template.with_values(coarse.values)
+    def to_mesh(self, coarse: Volume3) -> TriangleMesh:
         detail = self.bundle.detail_predictor.predict(coarse)
         field = reconstruct_truncated(coarse, detail, self.bundle.dims_table,
                                       get_bank(self.bundle.bank_name))
-        return field, marching_cubes(field)
+        return marching_cubes(field)
 
 
 # ---------------------------------------------------------------------------
@@ -185,25 +178,18 @@ def cmd_reconstruct_truncated(args) -> int:
 def cmd_generate(args) -> int:
     out = Path(args.out)
     ctx = _ReconContext(args.model)
-    ctx.require_reconstruction()
     sched = ctx.bundle.sched
-    subset = None
-    if args.ddim_steps is not None:
-        subset = default_step_subset(sched.T, args.ddim_steps)
-
-    def one(index: int):
-        seed_i = _derive_sample_seed(args.seed, index)
-        coarse = sample(ctx.bundle.denoiser, sched, ctx.coarse_dims, seed_i,
-                        step_subset=subset)
-        field, mesh = ctx.to_mesh(coarse)
-        return coarse, field, mesh
-
-    results = _map_ordered(one, list(range(args.count)))
+    subset = (None if args.ddim_steps is None
+              else default_step_subset(sched.T, args.ddim_steps))
+    seeds = [_derive_sample_seed(args.seed, i) for i in range(args.count)]
+    rows = sample(ctx.bundle.denoiser, sched, ctx.template.dims, seeds,
+                  step_subset=subset)
+    coarse = [ctx.template.with_values(row) for row in rows]
+    meshes = _map_ordered(ctx.to_mesh, coarse)
     _write_run_manifest(out, _argv_list(args), seed=args.seed,
                         model_digest=ctx.bundle.manifest_digest)
-    for i, (coarse, field, mesh) in enumerate(results):
-        write_wsv1(out / f"sample_{i:03d}_coarse.wsv1",
-                   ctx.template.with_values(coarse.values))
+    for i, (vol, mesh) in enumerate(zip(coarse, meshes)):
+        write_wsv1(out / f"sample_{i:03d}_coarse.wsv1", vol)
         write_obj(out / f"sample_{i:03d}.obj", mesh)
     print(f"generated {args.count} samples into {out}")
     return 0
@@ -212,7 +198,6 @@ def cmd_generate(args) -> int:
 def cmd_invert(args) -> int:
     out = Path(args.out)
     ctx = _ReconContext(args.model)
-    ctx.require_reconstruction()
     tsdf = _load_shape_volume(args.input, args.res)
     dims_table = ctx.bundle.dims_table
     if tuple(tsdf.dims) != dims_table[0]:
@@ -226,7 +211,7 @@ def cmd_invert(args) -> int:
         coarse_in, ctx.bundle.encoder, ctx.bundle.denoiser, ctx.bundle.sched,
         refine=not args.no_refine, rng_seed=args.seed,
         iters=args.refine_iters, lr=args.refine_lr)
-    field, mesh = ctx.to_mesh(coarse_out)
+    mesh = ctx.to_mesh(coarse_out)
     _write_run_manifest(out, _argv_list(args), seed=args.seed,
                         model_digest=ctx.bundle.manifest_digest)
     write_latent(out / "latent.json", z)
@@ -241,21 +226,17 @@ def cmd_interpolate(args) -> int:
     if args.steps < 2:
         raise ValidationError("--steps must be >= 2")
     ctx = _ReconContext(args.model)
-    ctx.require_reconstruction()
     za = read_latent(args.za)
     zb = read_latent(args.zb)
-
-    def one(k: int):
-        alpha = k / (args.steps - 1)
-        z = interpolate_latent(za, zb, alpha)
-        coarse = sample(ctx.bundle.denoiser, ctx.bundle.sched, ctx.coarse_dims,
-                        args.seed, z=z.values)
-        return ctx.to_mesh(coarse)
-
-    results = _map_ordered(one, list(range(args.steps)))
+    zs = [interpolate_latent(za, zb, k / (args.steps - 1)).values
+          for k in range(args.steps)]
+    rows = sample(ctx.bundle.denoiser, ctx.bundle.sched, ctx.template.dims,
+                  [args.seed] * args.steps, zs)
+    frames = [ctx.template.with_values(row) for row in rows]
+    meshes = _map_ordered(ctx.to_mesh, frames)
     _write_run_manifest(out, _argv_list(args), seed=args.seed,
                         model_digest=ctx.bundle.manifest_digest)
-    for k, (field, mesh) in enumerate(results):
+    for k, mesh in enumerate(meshes):
         write_obj(out / f"frame_{k:03d}.obj", mesh)
     return 0
 
@@ -263,13 +244,12 @@ def cmd_interpolate(args) -> int:
 def cmd_manipulate(args) -> int:
     out = Path(args.out)
     ctx = _ReconContext(args.model)
-    ctx.require_reconstruction()
     plan_dir = Path(args.plan).parent
     spec = read_plan_file(args.plan)
     mask = read_mask(plan_dir / spec["mask"])
-    if mask.dims != ctx.coarse_dims:
-        raise ValidationError(
-            f"mask dims {mask.dims} do not match coarse dims {ctx.coarse_dims}")
+    if mask.dims != ctx.template.dims:
+        raise ValidationError(f"mask dims {mask.dims} do not match coarse "
+                              f"dims {ctx.template.dims}")
     z_a = read_latent(plan_dir / spec["z_a"]).values if spec["z_a"] else None
     z_b = read_latent(plan_dir / spec["z_b"]).values if spec["z_b"] else None
     plan = ManipulationPlan(
@@ -277,26 +257,24 @@ def cmd_manipulate(args) -> int:
         denoiser_a=ctx.bundle.denoiser, delta_t=spec["delta_t"],
         harmonize_repeats=spec["harmonize_repeats"], alphas=spec["alphas"])
     seed = spec["seed"]
-    result = manipulate(z_a, z_b, plan, rng_seed=seed)
+    result = ctx.template.with_values(
+        manipulate(z_a, z_b, plan, rng_seed=seed).values)
 
-    chain_a = sample(ctx.bundle.denoiser, ctx.bundle.sched, ctx.coarse_dims,
-                     seed, z=z_a)
-    chain_b = sample(ctx.bundle.denoiser, ctx.bundle.sched, ctx.coarse_dims,
-                     seed, z=z_b)
-    naive = naive_mix_baseline(chain_a, chain_b, mask)
+    chain_a, chain_b = sample(ctx.bundle.denoiser, ctx.bundle.sched,
+                              ctx.template.dims, [seed, seed], [z_a, z_b])
+    naive = naive_mix_baseline(ctx.template.with_values(chain_a),
+                               ctx.template.with_values(chain_b), mask)
     comparison = {
         "boundary_metric_manipulated": boundary_discontinuity(result, mask),
         "boundary_metric_naive_mix": boundary_discontinuity(naive, mask),
     }
-    field, mesh = ctx.to_mesh(result)
-    naive_field, naive_mesh = ctx.to_mesh(naive)
+    mesh = ctx.to_mesh(result)
+    naive_mesh = ctx.to_mesh(naive)
     _write_run_manifest(out, _argv_list(args), seed=seed,
                         model_digest=ctx.bundle.manifest_digest)
-    write_wsv1(out / "manipulated_coarse.wsv1",
-               ctx.template.with_values(result.values))
+    write_wsv1(out / "manipulated_coarse.wsv1", result)
     write_obj(out / "manipulated.obj", mesh)
-    write_wsv1(out / "naive_mix_coarse.wsv1",
-               ctx.template.with_values(naive.values))
+    write_wsv1(out / "naive_mix_coarse.wsv1", naive)
     write_obj(out / "naive_mix.obj", naive_mesh)
     write_json(out / "boundary_comparison.json", comparison)
     print(f"boundary metric: manipulated "

@@ -152,8 +152,8 @@ def _loss_and_grad(denoiser, C_t: Volume3, t: int, z: np.ndarray,
         return loss, np.asarray(grad, dtype=np.float64)
 
     def loss_at(zz) -> float:
-        eh = denoiser.predict_eps(C_t, t, zz)
-        return float(np.mean((eh.values - eps.values) ** 2))
+        eh = denoiser.predict_eps(C_t.values[None], t, [zz])[0]
+        return float(np.mean((eh - eps.values) ** 2))
 
     loss = loss_at(z)
     grad = np.zeros(len(z))
@@ -237,8 +237,8 @@ def invert(C0: Volume3, encoder: EncoderInterface, denoiser: DenoiserInterface,
         z, trace = refine_latent(
             C0, z, denoiser, sched, iters=iters, lr=lr,
             rng=rng_mod.stream(rng_seed, "refine"))
-    vol = sample(denoiser, sched, C0.dims, rng_seed, z=z.values)
-    return z, C0.with_values(vol.values), trace
+    vol = sample(denoiser, sched, C0.dims, [rng_seed], [z.values])[0]
+    return z, C0.with_values(vol), trace
 
 
 def interpolate_latent(zA, zB, alpha: float) -> LatentCode:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rng_mod
-from .errors import ShapeMismatchError, ValidationError
+from .errors import NumericalError, ShapeMismatchError, ValidationError
 from .formats import read_json, read_volume, write_json, write_wsv1
 from .grid import Volume3
 
@@ -102,41 +102,46 @@ def q_sample(C0: Volume3, t: int, eps: Volume3, sched: NoiseSchedule) -> Volume3
                           + math.sqrt(1.0 - ab) * eps.values)
 
 
-def p_step(C_t: Volume3, t: int, eps_hat: Volume3, noise: Volume3,
-           sched: NoiseSchedule) -> Volume3:
-    """Ancestral reverse step; the injected noise is scaled by sigma(t),
-    which is zero at t = 1."""
-    _require_same_dims(C_t, eps_hat, "p_step")
-    _require_same_dims(C_t, noise, "p_step noise")
+def p_step(C_t: np.ndarray, t: int, eps_hat: np.ndarray, noise: np.ndarray,
+           sched: NoiseSchedule) -> np.ndarray:
+    """Ancestral reverse step on arrays of one shape (any leading shape, one
+    chain state per row); the injected noise is scaled by sigma(t), which is
+    zero at t = 1."""
+    if C_t.shape != eps_hat.shape or C_t.shape != noise.shape:
+        raise ShapeMismatchError(f"p_step: shapes {C_t.shape} vs "
+                                 f"{eps_hat.shape} vs {noise.shape}")
     t = sched._check_t(t)
     beta = sched.beta(t)
-    mean = (C_t.values - beta / math.sqrt(1.0 - sched.alpha_bar(t)) * eps_hat.values)
+    mean = C_t - beta / math.sqrt(1.0 - sched.alpha_bar(t)) * eps_hat
     mean /= math.sqrt(sched.alpha(t))
     sigma = sched.sigma(t)
-    out = mean if sigma == 0.0 else mean + sigma * noise.values
-    return C_t.with_values(out)
+    return mean if sigma == 0.0 else mean + sigma * noise
 
 
 class DenoiserInterface:
-    """predict_eps(C_t, t, z) -> Volume3 of the same dims, deterministic.
+    """predict_eps(C_t, t, z) -> (B, nx, ny, nz) eps_hat, deterministic.
 
-    Implementations may also provide predict_eps_grad_z(C_t, t, z, eps)
-    -> (eps_hat, grad) where grad is the derivative of the voxel-mean
-    squared error ||eps_hat - eps||^2 / V with respect to z.
+    ``C_t`` holds one chain state per row, shape (B, nx, ny, nz); ``z`` is
+    None or B entries, each a row's latent code or None (unconditional).
+    Row b of the result depends only on ``C_t[b]`` and ``z[b]``.  Optional:
+    predict_eps_grad_z(C_t, t, z, eps) -> (eps_hat, grad) for one chain on
+    Volume3s, grad being d/dz of the voxel-mean ||eps_hat - eps||^2.
     """
 
-    def predict_eps(self, C_t: Volume3, t: int, z=None) -> Volume3:
+    def predict_eps(self, C_t: np.ndarray, t: int, z=None) -> np.ndarray:
         raise NotImplementedError
 
 
 class GaussianMixtureOracle(DenoiserInterface):
     """Exact Bayes eps-predictor when C0 is drawn from a finite weighted set.
 
-    Posterior over components given C_t (all in log-space):
+    Posterior over components given one row C_t (all in log-space):
         log w_k = log pi_k - ||C_t - sqrt(abar_t) X_k||^2 / (2 (1 - abar_t))
-                  [- ||z - a_k||^2 / (2 tau^2) when z is given]
+                  [- ||z - a_k||^2 / (2 tau^2) when the row has a code z]
     then E[C0 | C_t] = sum_k w_k X_k and
         eps_hat = (C_t - sqrt(abar_t) E[C0 | C_t]) / sqrt(1 - abar_t).
+    Rows are reduced by the same einsum sums a single row would use, so a
+    row's result does not depend on the batch it is in.
     """
 
     def __init__(self, components, anchors=None, tau: float = 1.0, sched=None):
@@ -171,57 +176,66 @@ class GaussianMixtureOracle(DenoiserInterface):
     def K(self) -> int:
         return len(self.weights)
 
-    def _logits(self, C_t: Volume3, t: int, z) -> np.ndarray:
+    def _logits(self, C_t: np.ndarray, t: int, z) -> np.ndarray:
         ab = self.sched.alpha_bar(t)
-        diff = C_t.values[None] - math.sqrt(ab) * self.stack
-        d2 = np.einsum("kijl,kijl->k", diff, diff)
+        diff = C_t[:, None] - math.sqrt(ab) * self.stack
+        d2 = np.einsum("bkijl,bkijl->bk", diff, diff)
         logits = np.log(self.weights) - d2 / (2.0 * (1.0 - ab))
-        if z is not None:
+        rows = [] if z is None else [b for b, zb in enumerate(z) if zb is not None]
+        if rows:
             if self.anchors is None:
                 raise ValidationError("conditional query but oracle has no anchors")
-            dz = np.asarray(z, dtype=np.float64) - self.anchors
-            logits = logits - np.einsum("kl,kl->k", dz, dz) / (2.0 * self.tau ** 2)
+            codes = np.asarray([z[b] for b in rows], dtype=np.float64)
+            dz = codes[:, None] - self.anchors
+            logits[rows] -= np.einsum("bkl,bkl->bk", dz, dz) / (2.0 * self.tau ** 2)
         return logits
 
-    def _check_query(self, C_t: Volume3) -> None:
+    def _check_query(self, C_t: np.ndarray, z) -> None:
         if self.sched is None:
             raise ValidationError("oracle has no schedule bound")
-        if C_t.dims != self.dims:
-            raise ShapeMismatchError(f"dims {C_t.dims} vs components {self.dims}")
+        if C_t.ndim != 4 or C_t.shape[1:] != self.dims:
+            raise ShapeMismatchError(
+                f"state shape {C_t.shape} vs (B, *{self.dims}) of components")
+        if z is not None and len(z) != len(C_t):
+            raise ValidationError(f"{len(z)} codes for {len(C_t)} rows")
 
-    def posterior_weights(self, C_t: Volume3, t: int, z=None) -> np.ndarray:
-        self._check_query(C_t)
+    def posterior_weights(self, C_t: np.ndarray, t: int, z=None) -> np.ndarray:
+        """(B, K) posterior component weights, one row per chain state."""
+        self._check_query(C_t, z)
         logits = self._logits(C_t, t, z)
-        logits = logits - logits.max()
+        logits = logits - logits.max(axis=1, keepdims=True)
         w = np.exp(logits)
-        return w / w.sum()
+        return w / w.sum(axis=1, keepdims=True)
 
-    def _posterior_eps(self, C_t: Volume3, t: int, z):
-        """(eps_hat values, posterior weights, sqrt(abar_t), sqrt(1 - abar_t)).
+    def _posterior_eps(self, C_t: np.ndarray, t: int, z):
+        """(eps_hat rows, posterior weights, sqrt(abar_t), sqrt(1 - abar_t)).
 
         At abar_t = 1 (t = 0) no noise is present: eps_hat is zero and the
         weights are None.
         """
-        self._check_query(C_t)
+        self._check_query(C_t, z)
         ab = self.sched.alpha_bar(t)
         if ab >= 1.0:
-            return np.zeros(self.dims), None, 1.0, 0.0
+            return np.zeros(C_t.shape), None, 1.0, 0.0
         w = self.posterior_weights(C_t, t, z)
-        expect = np.einsum("k,kijl->ijl", w, self.stack)
+        expect = np.einsum("bk,kijl->bijl", w, self.stack)
         root_ab = math.sqrt(ab)
         root_1mab = math.sqrt(1.0 - ab)
-        return (C_t.values - root_ab * expect) / root_1mab, w, root_ab, root_1mab
+        return (C_t - root_ab * expect) / root_1mab, w, root_ab, root_1mab
 
-    def predict_eps(self, C_t: Volume3, t: int, z=None) -> Volume3:
-        return C_t.with_values(self._posterior_eps(C_t, t, z)[0])
+    def predict_eps(self, C_t: np.ndarray, t: int, z=None) -> np.ndarray:
+        return self._posterior_eps(C_t, t, z)[0]
 
     def predict_eps_grad_z(self, C_t: Volume3, t: int, z, eps: Volume3):
-        """(eps_hat, d/dz of voxel-mean ||eps_hat - eps||^2)."""
+        """(eps_hat, d/dz of voxel-mean ||eps_hat - eps||^2) for one chain."""
         if z is None or self.anchors is None:
             raise ValidationError("gradient requires z and anchors")
-        eps_hat, w, root_ab, root_1mab = self._posterior_eps(C_t, t, z)
+        eps_hat, w, root_ab, root_1mab = self._posterior_eps(
+            C_t.values[None], t, [z])
+        eps_hat = eps_hat[0]
         if w is None:
             return C_t.with_values(eps_hat), np.zeros(len(np.asarray(z)))
+        w = w[0]
         nvox = eps_hat.size
         resid = eps_hat - eps.values
         # dL/dw_k through eps_hat; dw/dz through the softmax of logits
@@ -267,46 +281,61 @@ def _validate_subset(step_subset, T: int) -> tuple[int, ...]:
     return tuple(subset)
 
 
+def _require_finite(C: np.ndarray, t: int) -> np.ndarray:
+    """C itself, or NumericalError naming step t and the first bad row."""
+    finite = np.isfinite(C)
+    if not finite.all():
+        row = int(np.argmin(finite.reshape(len(C), -1).all(axis=1)))
+        raise NumericalError(f"non-finite chain state at step {t}, row {row}")
+    return C
+
+
 def _ancestral_step(denoiser: DenoiserInterface, sched: NoiseSchedule,
-                    C_t: Volume3, t: int, z, rng_seed: int, chain: str) -> Volume3:
-    """One ancestral reverse step of the chain named ``chain``; its noise is
-    the ``(rng_seed, "chain", chain, "step", t)`` stream, zero at t = 1."""
-    eps_hat = denoiser.predict_eps(C_t, t, z)
+                    C: np.ndarray, t: int, zs, rng_seeds, chains) -> np.ndarray:
+    """One ancestral reverse step of every row of C; row b's noise is the
+    ``(rng_seeds[b], "chain", chains[b], "step", t)`` stream, zero at t = 1."""
+    eps_hat = denoiser.predict_eps(C, t, zs)
+    noise = np.zeros_like(C)
     if t > 1:
-        noise = rng_mod.stream(rng_seed, "chain", chain, "step", t)\
-            .standard_normal(C_t.dims)
-    else:
-        noise = np.zeros(C_t.dims)
-    return p_step(C_t, t, eps_hat, C_t.with_values(noise), sched)
+        for row, seed, chain in zip(noise, rng_seeds, chains):
+            rng_mod.stream(seed, "chain", chain, "step", t).standard_normal(out=row)
+    return _require_finite(p_step(C, t, eps_hat, noise, sched), t)
 
 
 def sample(denoiser: DenoiserInterface, sched: NoiseSchedule,
-           dims: tuple[int, int, int], rng_seed: int, z=None,
-           step_subset=None) -> Volume3:
-    """Reverse-process sampling from pure noise.
+           dims: tuple[int, int, int], rng_seeds, zs=None,
+           step_subset=None) -> np.ndarray:
+    """Reverse-process sampling from pure noise, one chain per seed.
 
-    Without a subset: T stochastic ancestral (DDPM) steps.  With a strictly
-    decreasing subset ending at 1: deterministic (eta = 0) subsequence
-    updates.  Identical inputs give bit-identical outputs.
+    Returns (B, *dims); row b starts from the ``(rng_seeds[b], "init")``
+    stream, is guided by ``zs[b]`` (None: unconditional) and does not depend
+    on the other rows.  Without a subset: T stochastic ancestral (DDPM)
+    steps.  With a strictly decreasing subset ending at 1: deterministic
+    (eta = 0) subsequence updates.  A non-finite state raises NumericalError.
     """
-    init = rng_mod.stream(rng_seed, "init").standard_normal(dims)
-    C = Volume3(init)
-    if step_subset is None:
-        chain = chain_stream_name(z)
+    seeds = [int(s) for s in rng_seeds]
+    zs = [None] * len(seeds) if zs is None else list(zs)
+    if len(zs) != len(seeds):
+        raise ValidationError(f"{len(zs)} codes for {len(seeds)} chains")
+    subset = None if step_subset is None else _validate_subset(step_subset, sched.T)
+    C = np.empty((len(seeds), *dims))
+    for row, seed in zip(C, seeds):
+        rng_mod.stream(seed, "init").standard_normal(out=row)
+    if subset is None:
+        chains = [chain_stream_name(z) for z in zs]
         for t in range(sched.T, 0, -1):
-            C = _ancestral_step(denoiser, sched, C, t, z, rng_seed, chain)
+            C = _ancestral_step(denoiser, sched, C, t, zs, seeds, chains)
         return C
-    subset = _validate_subset(step_subset, sched.T)
     for i, t in enumerate(subset):
-        eps_hat = denoiser.predict_eps(C, t, z)
+        eps_hat = denoiser.predict_eps(C, t, zs)
         ab = sched.alpha_bar(t)
-        x0 = (C.values - math.sqrt(1.0 - ab) * eps_hat.values) / math.sqrt(ab)
+        x0 = (C - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)
         if i + 1 < len(subset):
             ab_prev = sched.alpha_bar(subset[i + 1])
-            C = C.with_values(math.sqrt(ab_prev) * x0
-                              + math.sqrt(1.0 - ab_prev) * eps_hat.values)
+            C = math.sqrt(ab_prev) * x0 + math.sqrt(1.0 - ab_prev) * eps_hat
         else:
-            C = C.with_values(x0)
+            C = x0
+        _require_finite(C, t)
     return C
 
 
@@ -322,8 +351,8 @@ def training_loss(denoiser: DenoiserInterface, C0: Volume3,
         eps = C0.with_values(rng.standard_normal(C0.dims))
     _require_same_dims(C0, eps, "training_loss")
     C_t = q_sample(C0, t, eps, sched)
-    eps_hat = denoiser.predict_eps(C_t, t, z)
-    return float(np.mean((eps.values - eps_hat.values) ** 2))
+    eps_hat = denoiser.predict_eps(C_t.values[None], t, [z])[0]
+    return float(np.mean((eps.values - eps_hat) ** 2))
 
 
 # ---------------------------------------------------------------------------

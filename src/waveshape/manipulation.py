@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .diffusion import (DenoiserInterface, NoiseSchedule, _ancestral_step,
-                        chain_stream_name, p_step, sample)
+                        _require_finite, chain_stream_name, p_step, sample)
 from .errors import ShapeMismatchError, ValidationError
 from .formats import read_json, write_json
 from .grid import RegionMask3, Volume3, masked_combine
@@ -41,7 +41,6 @@ class ManipulationPlan:
     mask: RegionMask3
     sched: NoiseSchedule
     denoiser_a: DenoiserInterface
-    denoiser_b: DenoiserInterface | None = None
     delta_t: int = 10
     harmonize_repeats: int = 10
     alphas: tuple = (0.5,)
@@ -63,10 +62,6 @@ class ManipulationPlan:
             for a in self.alphas:
                 if not 0.0 <= a <= 1.0:
                     raise ValidationError(f"alpha {a} outside [0, 1]")
-
-    @property
-    def chain_b_denoiser(self) -> DenoiserInterface:
-        return self.denoiser_b if self.denoiser_b is not None else self.denoiser_a
 
 
 # ---------------------------------------------------------------------------
@@ -143,31 +138,32 @@ def naive_mix_baseline(C0_A: Volume3, C0_B: Volume3,
 # Harmonization
 
 
-def harmonize(C_mix: Volume3, t: int, plan: ManipulationPlan,
-              rng: np.random.Generator) -> Volume3:
+def harmonize(C_mix: np.ndarray, t: int, plan: ManipulationPlan,
+              rng: np.random.Generator) -> np.ndarray:
     """Blend a freshly spliced state back onto the model manifold.
 
     Each round renoises one step (mean sqrt(1-beta_t) * C, variance beta_t),
-    runs one reverse step per chain from the shared renoised state, and
-    re-splices through the mask.  Requires 1 <= t < T.
+    takes one reverse step of chains A and B (rows 0 and 1 of one batch)
+    from the shared renoised state, and re-splices through the mask.
+    Requires 1 <= t < T.
     """
     if not 1 <= t < plan.sched.T:
         raise ValidationError(f"harmonize needs 1 <= t < T, got t={t}")
-    if C_mix.dims != plan.mask.dims:
-        raise ShapeMismatchError(f"dims {C_mix.dims} vs mask {plan.mask.dims}")
+    if C_mix.shape != plan.mask.dims:
+        raise ShapeMismatchError(f"dims {C_mix.shape} vs mask {plan.mask.dims}")
     sched = plan.sched
     beta = sched.beta(t + 1)
+    pair = (2, *C_mix.shape)
     state = C_mix
     for _ in range(plan.harmonize_repeats):
-        xi = rng.standard_normal(state.dims)
-        noisy = state.with_values(
-            np.sqrt(1.0 - beta) * state.values + np.sqrt(beta) * xi)
-        step_noise = state.with_values(rng.standard_normal(state.dims))
-        eps_a = plan.denoiser_a.predict_eps(noisy, t + 1, plan.z_a)
-        stepped_a = p_step(noisy, t + 1, eps_a, step_noise, sched)
-        eps_b = plan.chain_b_denoiser.predict_eps(noisy, t + 1, plan.z_b)
-        stepped_b = p_step(noisy, t + 1, eps_b, step_noise, sched)
-        state = masked_combine(stepped_a, stepped_b, plan.mask)
+        xi = rng.standard_normal(state.shape)
+        noisy = np.broadcast_to(
+            np.sqrt(1.0 - beta) * state + np.sqrt(beta) * xi, pair)
+        step_noise = np.broadcast_to(rng.standard_normal(state.shape), pair)
+        eps = plan.denoiser_a.predict_eps(noisy, t + 1, [plan.z_a, plan.z_b])
+        stepped = _require_finite(
+            p_step(noisy, t + 1, eps, step_noise, sched), t + 1)
+        state = np.where(plan.mask.bits, stepped[1], stepped[0])
     return state
 
 
@@ -175,24 +171,23 @@ def harmonize(C_mix: Volume3, t: int, plan: ManipulationPlan,
 # The full edit loop
 
 
-def _combine(state_a: Volume3, state_b: Volume3, plan: ManipulationPlan,
-             index: int) -> Volume3:
+def _combine(state: np.ndarray, plan: ManipulationPlan,
+             index: int) -> np.ndarray:
+    """Splice row B of a two-row chain state into row A through the mask."""
+    state_a, inside = state
     if plan.mode == "part_interpolation":
         alpha = plan.alphas[min(index, len(plan.alphas) - 1)]
-        inside = state_a.with_values(
-            (1.0 - alpha) * state_a.values + alpha * state_b.values)
-    else:
-        inside = state_b
-    return masked_combine(state_a, inside, plan.mask)
+        inside = (1.0 - alpha) * state_a + alpha * inside
+    return np.where(plan.mask.bits, inside, state_a)
 
 
 def manipulate(zA, zB, plan: ManipulationPlan, rng_seed: int) -> Volume3:
     """Run the dual-chain edit and return the final coarse volume.
 
-    Chain A is guided by ``zA``; chain B by ``zB`` (None means B runs
-    unconditionally, as regeneration requires).  Noise streams are keyed by
-    each chain's conditioning digest, so a chain draws exactly what a plain
-    ``sample`` call with the same seed and code would draw.
+    Chains A and B, rows 0 and 1 of one state, are guided by ``zA`` and
+    ``zB`` (None means B runs unconditionally, as regeneration requires).
+    Each row draws exactly what a ``sample`` row with the same seed and code
+    would draw.
     """
     if plan.mode == "regeneration" and zB is not None:
         raise ValidationError("regeneration runs chain B unconditionally")
@@ -209,34 +204,29 @@ def manipulate(zA, zB, plan: ManipulationPlan, rng_seed: int) -> Volume3:
         if not 0.0 <= alpha <= 1.0:
             raise ValidationError(f"alpha {alpha} outside [0, 1]")
         z_mix = (1.0 - alpha) * zA + alpha * zB
-        return sample(plan.denoiser_a, sched, dims, rng_seed, z=z_mix)
+        return Volume3(sample(plan.denoiser_a, sched, dims, [rng_seed],
+                              [z_mix])[0])
 
     plan = dataclasses.replace(plan, z_a=zA, z_b=zB)
-    name_a = chain_stream_name(zA)
-    name_b = chain_stream_name(zB)
-    denoiser_b = plan.chain_b_denoiser
-
+    zs, seeds = [zA, zB], [rng_seed, rng_seed]
+    chains = [chain_stream_name(z) for z in zs]
     init = rng_mod.stream(rng_seed, "init").standard_normal(dims)
-    state_a = Volume3(init)
-    state_b = Volume3(init.copy())
+    state = np.stack([init, init])
     combine_index = 0
     for t in range(sched.T, 0, -1):
-        state_a = _ancestral_step(plan.denoiser_a, sched, state_a, t, zA,
-                                  rng_seed, name_a)
-        state_b = _ancestral_step(denoiser_b, sched, state_b, t, zB,
-                                  rng_seed, name_b)
+        state = _ancestral_step(plan.denoiser_a, sched, state, t, zs, seeds,
+                                chains)
         level = t - 1
         if level % plan.delta_t == 0:
-            combined = _combine(state_a, state_b, plan, combine_index)
+            combined = _combine(state, plan, combine_index)
             combine_index += 1
-            seamless = (np.array_equal(combined.values, state_a.values)
-                        or np.array_equal(combined.values, state_b.values))
+            seamless = (np.array_equal(combined, state[0])
+                        or np.array_equal(combined, state[1]))
             if level >= 1 and plan.harmonize_repeats > 0 and not seamless:
                 combined = harmonize(combined, level, plan,
                                      rng_mod.stream(rng_seed, "harmonize", level))
-            state_a = combined
-            state_b = combined
-    return state_a
+            state = np.stack([combined, combined])
+    return Volume3(state[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive (scalar loops, exact rational
-arithmetic) and shares no code with ``waveshape``; tests compare the fast
-vectorized implementations against these.
+arithmetic, one diffusion state at a time) and shares no code with
+``waveshape``; tests compare the fast vectorized implementations against
+these.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -145,6 +147,87 @@ def mixture_eps_reference(c_t, stack, log_pi, abar, cond_quad=None):
         mean += wk * stack[k]
     eps = (np.asarray(c_t, dtype=np.float64) - sa * mean) / math.sqrt(var)
     return eps, np.array(w)
+
+
+def mixture_eps_single(C, stack, weights, abar, anchors=None, tau=1.0, z=None):
+    """One state's mixture eps-prediction with the per-state einsum sums the
+    batched oracle must reproduce bit for bit (no BLAS products)."""
+    diff = C[None] - math.sqrt(abar) * stack
+    logits = np.log(weights) - np.einsum("kijl,kijl->k", diff, diff) / (
+        2.0 * (1.0 - abar))
+    if z is not None:
+        dz = np.asarray(z, dtype=np.float64) - anchors
+        logits = logits - np.einsum("kl,kl->k", dz, dz) / (2.0 * tau ** 2)
+    logits = logits - logits.max()
+    w = np.exp(logits)
+    w = w / w.sum()
+    expect = np.einsum("k,kijl->ijl", w, stack)
+    return (C - math.sqrt(abar) * expect) / math.sqrt(1.0 - abar)
+
+
+# ---------------------------------------------------------------------------
+# Single reverse chains: one state at a time, with the noise contract
+# re-derived (named Philox streams keyed by blake2s words of each name)
+
+
+def _name_words(name) -> list:
+    if isinstance(name, int):
+        return [name & 0xFFFFFFFF, (name >> 32) & 0xFFFFFFFF]
+    digest = hashlib.blake2s(str(name).encode("utf-8"), digest_size=8).digest()
+    return [int.from_bytes(digest[:4], "little"),
+            int.from_bytes(digest[4:], "little")]
+
+
+def named_stream(seed: int, *names) -> np.random.Generator:
+    entropy = [seed & 0xFFFFFFFFFFFFFFFF]
+    for name in names:
+        entropy.extend(_name_words(name))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def chain_name(z) -> str:
+    """"unconditional", or the blake2s digest of the float64 code."""
+    if z is None:
+        return "unconditional"
+    code = np.ascontiguousarray(np.asarray(z, dtype=np.float64))
+    h = hashlib.blake2s(digest_size=8)
+    h.update(b"float64")
+    h.update(str(code.shape).encode())
+    h.update(code.tobytes())
+    return h.hexdigest()
+
+
+def single_chain_reference(eps_fn, sched, dims, seed, z=None, step_subset=None):
+    """One reverse chain as a loop of single-state steps.
+
+    ``eps_fn(C, t, z)`` predicts eps for one state.  The start is the
+    ``(seed, "init")`` stream; ancestral step t > 1 adds sigma(t) times the
+    ``(seed, "chain", chain_name(z), "step", t)`` stream; a step subset runs
+    the deterministic (eta = 0) updates instead.
+    """
+    C = named_stream(seed, "init").standard_normal(dims)
+    if step_subset is None:
+        for t in range(sched.T, 0, -1):
+            eps = eps_fn(C, t, z)
+            mean = C - sched.beta(t) / math.sqrt(1.0 - sched.alpha_bar(t)) * eps
+            mean /= math.sqrt(sched.alpha(t))
+            if t > 1:
+                noise = named_stream(seed, "chain", chain_name(z), "step",
+                                     t).standard_normal(dims)
+                mean = mean + sched.sigma(t) * noise
+            C = mean
+        return C
+    steps = list(step_subset)
+    for i, t in enumerate(steps):
+        eps = eps_fn(C, t, z)
+        ab = sched.alpha_bar(t)
+        x0 = (C - math.sqrt(1.0 - ab) * eps) / math.sqrt(ab)
+        if i + 1 < len(steps):
+            ab_prev = sched.alpha_bar(steps[i + 1])
+            C = math.sqrt(ab_prev) * x0 + math.sqrt(1.0 - ab_prev) * eps
+        else:
+            C = x0
+    return C
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,25 @@ def test_numerical_error_exit_code(tmp_path, model_manifest, monkeypatch,
     assert "numerical error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_chain_exits_3_without_traceback(tmp_path, model_manifest,
+                                                    capsys):
+    shutil.copytree(model_manifest.parent, tmp_path / "m")
+    corpus = tmp_path / "m" / "corpus"
+    for k, path in enumerate(sorted(corpus.glob("component_*.wsv1"))):
+        vol = read_volume(path)
+        sign = 1.0 if k % 2 == 0 else -1.0
+        write_wsv1(path, vol.with_values(np.full(vol.dims, sign * 1e200)),
+                   wide=True)
+    rc = run_cli("generate", "--model", tmp_path / "m" / "model.json",
+                 "--seed", "1", "--count", "2", "--out", tmp_path / "x")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical error" in err
+    assert "non-finite chain state at step 100, row 0" in err
+    assert "Traceback" not in err
+
+
 def test_thread_pool_does_not_change_bytes(tmp_path, model_manifest,
                                            monkeypatch):
     def generate(out):

@@ -202,7 +202,8 @@ def test_refinement_rejects_negative_iters():
 
 
 class _GradFreeOracle(DenoiserInterface):
-    """Wrapper hiding the analytic gradient, forcing the FD fallback."""
+    """Wrapper hiding the analytic gradient, forcing the FD fallback; it
+    passes (B, *dims) states and per-row codes straight through."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -227,7 +228,7 @@ def test_finite_difference_fallback_tracks_analytic_path():
 
 class _ExplodingDenoiser(DenoiserInterface):
     def predict_eps(self, C_t, t, z=None):
-        return C_t.with_values(np.full(C_t.dims, 1e200))
+        return np.full(C_t.shape, 1e200)
 
     def predict_eps_grad_z(self, C_t, t, z, eps):
         bad = np.full(C_t.dims, 1e200)

@@ -15,7 +15,8 @@ from waveshape.diffusion import (DenoiserInterface, GaussianMixtureOracle,
                                  p_step, q_sample, read_oracle_corpus,
                                  sample, schedule_to_csv, training_loss,
                                  write_oracle_corpus)
-from waveshape.errors import ShapeMismatchError, ValidationError
+from waveshape.errors import (NumericalError, ShapeMismatchError,
+                              ValidationError)
 from waveshape.grid import Volume3
 from waveshape.rng import stream
 
@@ -109,17 +110,22 @@ def test_q_sample_formula():
 
 def test_p_step_formula_and_terminal_determinism():
     s = make_linear_schedule(20)
-    C, eh, noise = _vol(3), _vol(4), _vol(5)
+    C, eh, noise = _vol(3).values, _vol(4).values, _vol(5).values
     t = 9
     got = p_step(C, t, eh, noise, s)
-    mean = (C.values - s.beta(t) / math.sqrt(1 - s.alpha_bar(t)) * eh.values)
+    mean = (C - s.beta(t) / math.sqrt(1 - s.alpha_bar(t)) * eh)
     mean = mean / math.sqrt(s.alpha(t))
-    np.testing.assert_allclose(got.values, mean + s.sigma(t) * noise.values,
+    np.testing.assert_allclose(got, mean + s.sigma(t) * noise,
                                rtol=0, atol=1e-15)
     # at t=1 sigma is exactly zero: the injected noise must not matter
-    a = p_step(C, 1, eh, _vol(6), s)
-    b = p_step(C, 1, eh, Volume3(1e6 * np.ones(C.dims)), s)
-    np.testing.assert_array_equal(a.values, b.values)
+    a = p_step(C, 1, eh, _vol(6).values, s)
+    b = p_step(C, 1, eh, 1e6 * np.ones(C.shape), s)
+    np.testing.assert_array_equal(a, b)
+    # a batch of states steps row by row
+    rows = np.stack([C, eh])
+    both = p_step(rows, t, np.stack([eh, C]), np.stack([noise, noise]), s)
+    np.testing.assert_array_equal(both[0], got)
+    np.testing.assert_array_equal(both[1], p_step(eh, t, C, noise, s))
 
 
 def test_steps_validate_dims():
@@ -127,7 +133,8 @@ def test_steps_validate_dims():
     with pytest.raises(ShapeMismatchError):
         q_sample(_vol(1), 3, _vol(2, dims=(3, 4, 4)), s)
     with pytest.raises(ShapeMismatchError):
-        p_step(_vol(1), 3, _vol(2, dims=(3, 4, 4)), _vol(3), s)
+        p_step(_vol(1).values, 3, _vol(2, dims=(3, 4, 4)).values,
+               _vol(3).values, s)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +170,9 @@ def test_predict_eps_matches_fsum_reference(small_oracle, t, conditional):
         C_t.values.ravel(), stack, np.log(oracle.weights), sched.alpha_bar(t),
         cond)
 
-    got = oracle.predict_eps(C_t, t, z)
-    np.testing.assert_allclose(got.values.ravel(), expect_eps, rtol=0, atol=1e-10)
-    w = oracle.posterior_weights(C_t, t, z)
+    got = oracle.predict_eps(C_t.values[None], t, [z])[0]
+    np.testing.assert_allclose(got.ravel(), expect_eps, rtol=0, atol=1e-10)
+    w = oracle.posterior_weights(C_t.values[None], t, [z])[0]
     np.testing.assert_allclose(w, expect_w, rtol=0, atol=1e-12)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -188,17 +195,17 @@ def test_gradient_matches_finite_differences():
     C_t = q_sample(mid, t, eps, sched)
     z = anchors[1] + 0.3 * gen.standard_normal(4)
 
-    w = oracle.posterior_weights(C_t, t, z)
+    w = oracle.posterior_weights(C_t.values[None], t, [z])[0]
     assert w.max() < 0.99, "fixture must keep the posterior mixed"
 
     eps_hat, grad = oracle.predict_eps_grad_z(C_t, t, z, eps)
-    np.testing.assert_array_equal(eps_hat.values,
-                                  oracle.predict_eps(C_t, t, z).values)
+    np.testing.assert_array_equal(
+        eps_hat.values, oracle.predict_eps(C_t.values[None], t, [z])[0])
     assert np.abs(grad).max() > 1e-6, "fixture must have a usable gradient"
 
     def loss(zv):
-        eh = oracle.predict_eps(C_t, t, zv)
-        return float(np.mean((eh.values - eps.values) ** 2))
+        eh = oracle.predict_eps(C_t.values[None], t, [zv])[0]
+        return float(np.mean((eh - eps.values) ** 2))
 
     h = 1e-6
     for i in range(4):
@@ -225,20 +232,25 @@ def test_oracle_validation():
         GaussianMixtureOracle([(0.6, v), (0.4, v)], anchors=np.zeros((3, 2)))
     sched = make_linear_schedule(10)
     una = GaussianMixtureOracle([(1.0, v)], sched=sched)
+    rows = v.values[None]
     with pytest.raises(ValidationError):
-        una.predict_eps(v, 3, z=np.zeros(2))  # conditional without anchors
+        una.predict_eps(rows, 3, z=[np.zeros(2)])  # conditional without anchors
+    with pytest.raises(ValidationError):
+        una.predict_eps(rows, 3, z=[None, None])  # one code per row
     unbound = GaussianMixtureOracle([(1.0, v)])
     with pytest.raises(ValidationError):
-        unbound.predict_eps(v, 3)
+        unbound.predict_eps(rows, 3)
     with pytest.raises(ShapeMismatchError):
-        una.predict_eps(_vol(3, dims=(5, 4, 4)), 3)
+        una.predict_eps(_vol(3, dims=(5, 4, 4)).values[None], 3)
+    with pytest.raises(ShapeMismatchError):
+        una.predict_eps(v.values, 3)  # a bare volume is not a batch
 
 
 def test_predict_eps_at_time_zero_is_zero():
     v = _vol(9)
     oracle = GaussianMixtureOracle([(1.0, v)], sched=make_linear_schedule(10))
-    out = oracle.predict_eps(v, 0)
-    np.testing.assert_array_equal(out.values, np.zeros(v.dims))
+    out = oracle.predict_eps(v.values[None], 0)
+    np.testing.assert_array_equal(out, np.zeros((1, *v.dims)))
 
 
 def test_single_component_eps_recovery_exact():
@@ -248,8 +260,8 @@ def test_single_component_eps_recovery_exact():
     eps = _vol(12)
     for t in (1, 15, 30):
         C_t = q_sample(X, t, eps, sched)
-        got = oracle.predict_eps(C_t, t)
-        np.testing.assert_allclose(got.values, eps.values, rtol=0, atol=1e-9)
+        got = oracle.predict_eps(C_t.values[None], t)[0]
+        np.testing.assert_allclose(got, eps.values, rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +272,17 @@ def test_ddpm_single_component_collapses_to_it():
     sched = make_linear_schedule(50)
     X = _vol(13)
     oracle = GaussianMixtureOracle([(1.0, X)], sched=sched)
-    out = sample(oracle, sched, dims=X.dims, rng_seed=3)
-    np.testing.assert_allclose(out.values, X.values, rtol=0, atol=1e-9)
+    out = sample(oracle, sched, dims=X.dims, rng_seeds=[3])[0]
+    np.testing.assert_allclose(out, X.values, rtol=0, atol=1e-9)
 
 
 def test_ddim_single_component_collapses_to_it():
     sched = make_linear_schedule(50)
     X = _vol(14)
     oracle = GaussianMixtureOracle([(1.0, X)], sched=sched)
-    out = sample(oracle, sched, dims=X.dims, rng_seed=3,
-                 step_subset=default_step_subset(50))
-    np.testing.assert_allclose(out.values, X.values, rtol=0, atol=1e-9)
+    out = sample(oracle, sched, dims=X.dims, rng_seeds=[3],
+                 step_subset=default_step_subset(50))[0]
+    np.testing.assert_allclose(out, X.values, rtol=0, atol=1e-9)
 
 
 def test_sampling_is_bit_reproducible():
@@ -279,11 +291,87 @@ def test_sampling_is_bit_reproducible():
     comps = [Volume3(gen.standard_normal((4, 4, 4))) for _ in range(2)]
     oracle = GaussianMixtureOracle([(0.5, comps[0]), (0.5, comps[1])],
                                    sched=sched)
-    a = sample(oracle, sched, dims=(4, 4, 4), rng_seed=77)
-    b = sample(oracle, sched, dims=(4, 4, 4), rng_seed=77)
-    np.testing.assert_array_equal(a.values, b.values)
-    c = sample(oracle, sched, dims=(4, 4, 4), rng_seed=78)
-    assert not np.array_equal(a.values, c.values)
+    a = sample(oracle, sched, dims=(4, 4, 4), rng_seeds=[77])
+    b = sample(oracle, sched, dims=(4, 4, 4), rng_seeds=[77])
+    np.testing.assert_array_equal(a, b)
+    c = sample(oracle, sched, dims=(4, 4, 4), rng_seeds=[78])
+    assert not np.array_equal(a, c)
+
+
+def _coded_oracle(T=30, dims=(6, 5, 4), K=4, L=3, seed=21):
+    gen = np.random.default_rng(seed)
+    comps = [Volume3(gen.standard_normal(dims)) for _ in range(K)]
+    anchors = gen.standard_normal((K, L))
+    sched = make_linear_schedule(T)
+    oracle = GaussianMixtureOracle([(1.0 / K, c) for c in comps],
+                                   anchors=anchors, tau=0.8, sched=sched)
+    return oracle, sched, anchors
+
+
+@pytest.mark.parametrize("B", [1, 4])
+@pytest.mark.parametrize("t", [1, 2, 17, 40])
+def test_batched_predict_eps_rows_match_single_state_sums(B, t):
+    oracle, sched, anchors = _coded_oracle(T=40, dims=(9, 8, 7), K=8, L=5)
+    gen = np.random.default_rng(B * 100 + t)
+    C = 0.3 * gen.standard_normal((B, 9, 8, 7)) + oracle.stack[0]
+    for zs in (None, [anchors[b % 8] + 0.1 * b if b % 2 == 0 else None
+                      for b in range(B)]):
+        got = oracle.predict_eps(C, t, zs)
+        assert got.shape == C.shape
+        for b in range(B):
+            z = None if zs is None else zs[b]
+            expect = helpers.mixture_eps_single(
+                C[b], oracle.stack, oracle.weights, sched.alpha_bar(t),
+                anchors, oracle.tau, z)
+            np.testing.assert_array_equal(got[b], expect)
+
+
+@pytest.mark.parametrize("subset", [None, (30, 22, 9, 4, 1)],
+                         ids=["ancestral", "subset"])
+def test_batched_rows_equal_single_chain_reference(subset):
+    oracle, sched, anchors = _coded_oracle()
+    dims = oracle.dims
+    seeds = [5, 2 ** 40 + 3, 5]
+    # coded and uncoded rows mixed, as regeneration's unconditional chain B
+    zs = [anchors[1], None, anchors[2] + 0.1]
+    rows = sample(oracle, sched, dims, seeds, zs, step_subset=subset)
+    assert rows.shape == (3, *dims)
+
+    def eps_fn(C, t, z):
+        return helpers.mixture_eps_single(C, oracle.stack, oracle.weights,
+                                          sched.alpha_bar(t), anchors,
+                                          oracle.tau, z)
+
+    for i in range(3):
+        ref = helpers.single_chain_reference(eps_fn, sched, dims, seeds[i],
+                                             zs[i], subset)
+        np.testing.assert_array_equal(rows[i], ref)
+        alone = sample(oracle, sched, dims, seeds[i:i + 1], zs[i:i + 1],
+                       step_subset=subset)
+        np.testing.assert_array_equal(alone[0], rows[i])
+    unconditional = sample(oracle, sched, dims, seeds, step_subset=subset)
+    np.testing.assert_array_equal(
+        unconditional[1], helpers.single_chain_reference(
+            eps_fn, sched, dims, seeds[1], None, subset))
+    assert sample(oracle, sched, dims, [], step_subset=subset).shape == (0, *dims)
+
+
+def test_sample_needs_one_code_slot_per_seed():
+    oracle, sched, anchors = _coded_oracle()
+    with pytest.raises(ValidationError):
+        sample(oracle, sched, oracle.dims, [1, 2], [anchors[0]])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("subset", [None, (10, 5, 1)],
+                         ids=["ancestral", "subset"])
+def test_non_finite_chain_state_raises_numerical_error(subset):
+    sched = make_linear_schedule(10)
+    huge = np.full((4, 4, 4), 1e200)
+    oracle = GaussianMixtureOracle([(0.5, Volume3(huge)), (0.5, Volume3(-huge))],
+                                   sched=sched)
+    with pytest.raises(NumericalError, match="step 10, row 0"):
+        sample(oracle, sched, (4, 4, 4), [1, 2], step_subset=subset)
 
 
 def test_conditioning_code_changes_the_noise_stream():
@@ -310,7 +398,8 @@ def test_sample_rejects_bad_subsets():
     oracle = GaussianMixtureOracle([(1.0, X)], sched=sched)
     for subset in ([], [20, 20, 1], [20, 5], [0], [25, 1]):
         with pytest.raises(ValidationError):
-            sample(oracle, sched, dims=X.dims, rng_seed=1, step_subset=subset)
+            sample(oracle, sched, dims=X.dims, rng_seeds=[1],
+                   step_subset=subset)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +408,7 @@ def test_sample_rejects_bad_subsets():
 
 class _ZeroDenoiser(DenoiserInterface):
     def predict_eps(self, C_t, t, z=None):
-        return C_t.with_values(np.zeros(C_t.dims))
+        return np.zeros(C_t.shape)
 
 
 def test_training_loss_zero_denoiser_equals_eps_power():

@@ -8,7 +8,8 @@ from helpers import reflect_index
 from waveshape import rng as rng_mod
 from waveshape.diffusion import (GaussianMixtureOracle, make_linear_schedule,
                                  sample)
-from waveshape.errors import ShapeMismatchError, ValidationError
+from waveshape.errors import (NumericalError, ShapeMismatchError,
+                              ValidationError)
 from waveshape.grid import RegionMask3, Volume3, masked_combine
 from waveshape.manipulation import (MODES, ManipulationPlan,
                                     boundary_discontinuity,
@@ -172,22 +173,39 @@ def test_harmonize_zero_repeats_is_identity():
     oracle, sched, mask, _ = _small_setup()
     plan = ManipulationPlan(mode="replacement", mask=mask, sched=sched,
                             denoiser_a=oracle, harmonize_repeats=0)
-    mix = Volume3(np.random.default_rng(1).standard_normal((5, 5, 5)))
+    mix = np.random.default_rng(1).standard_normal((5, 5, 5))
     out = harmonize(mix, 5, plan, rng_mod.stream(0, "x"))
-    np.testing.assert_array_equal(out.values, mix.values)
+    np.testing.assert_array_equal(out, mix)
 
 
 def test_harmonize_validates_t_and_dims():
     oracle, sched, mask, _ = _small_setup(T=40)
     plan = ManipulationPlan(mode="replacement", mask=mask, sched=sched,
                             denoiser_a=oracle)
-    mix = Volume3(np.zeros((5, 5, 5)))
+    mix = np.zeros((5, 5, 5))
     for bad_t in (0, 40, 41):
         with pytest.raises(ValidationError):
             harmonize(mix, bad_t, plan, rng_mod.stream(0, "x"))
     with pytest.raises(ShapeMismatchError):
-        harmonize(Volume3(np.zeros((4, 5, 5))), 5, plan,
-                  rng_mod.stream(0, "x"))
+        harmonize(np.zeros((4, 5, 5)), 5, plan, rng_mod.stream(0, "x"))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_edit_state_raises_numerical_error():
+    sched = make_linear_schedule(40)
+    huge = np.full((5, 5, 5), 1e200)
+    oracle = GaussianMixtureOracle(
+        [(0.5, Volume3(huge)), (0.5, Volume3(-huge))],
+        anchors=np.eye(2), tau=0.3, sched=sched)
+    bits = np.zeros((5, 5, 5), dtype=bool)
+    bits[:, :, 3:] = True
+    plan = ManipulationPlan(mode="regeneration", mask=RegionMask3(bits),
+                            sched=sched, denoiser_a=oracle, delta_t=10,
+                            harmonize_repeats=2)
+    with pytest.raises(NumericalError, match="step 40, row 0"):
+        manipulate(np.eye(2)[0], None, plan, rng_seed=1)
+    with pytest.raises(NumericalError, match="step 11, row 0"):
+        harmonize(np.zeros((5, 5, 5)), 10, plan, rng_mod.stream(0, "x"))
 
 
 def test_harmonize_reduces_stitch_seam():
@@ -206,8 +224,8 @@ def test_harmonize_reduces_stitch_seam():
                             harmonize_repeats=10)
     mix = masked_combine(Y_a, Y_b, mask)
     seam_before = boundary_discontinuity(mix, mask)
-    out = harmonize(mix, 10, plan, rng_mod.stream(7, "harmonize-test"))
-    seam_after = boundary_discontinuity(out, mask)
+    out = harmonize(mix.values, 10, plan, rng_mod.stream(7, "harmonize-test"))
+    seam_after = boundary_discontinuity(Volume3(out), mask)
     assert seam_after < 0.5 * seam_before
     assert seam_before == pytest.approx(1.0 + 0.4 / 15.0, abs=1e-6)
 
@@ -222,8 +240,8 @@ def test_all_false_mask_is_plain_sampling():
     plan = ManipulationPlan(mode="replacement", mask=mask, sched=sched,
                             denoiser_a=oracle, delta_t=10)
     out = manipulate(anchors[0], anchors[1], plan, rng_seed=9)
-    plain = sample(oracle, sched, (5, 5, 5), 9, z=anchors[0])
-    np.testing.assert_array_equal(out.values, plain.values)
+    plain = sample(oracle, sched, (5, 5, 5), [9], [anchors[0]])[0]
+    np.testing.assert_array_equal(out.values, plain)
 
 
 def test_identical_codes_are_plain_sampling():
@@ -231,8 +249,8 @@ def test_identical_codes_are_plain_sampling():
     plan = ManipulationPlan(mode="replacement", mask=mask, sched=sched,
                             denoiser_a=oracle, delta_t=10)
     out = manipulate(anchors[0], anchors[0].copy(), plan, rng_seed=9)
-    plain = sample(oracle, sched, (5, 5, 5), 9, z=anchors[0])
-    np.testing.assert_array_equal(out.values, plain.values)
+    plain = sample(oracle, sched, (5, 5, 5), [9], [anchors[0]])[0]
+    np.testing.assert_array_equal(out.values, plain)
 
 
 def test_mode_code_requirements():
@@ -253,8 +271,8 @@ def test_whole_interpolation_samples_with_blended_code():
                             denoiser_a=oracle, alphas=(0.3,))
     out = manipulate(anchors[0], anchors[1], plan, rng_seed=4)
     z_mix = 0.7 * anchors[0] + 0.3 * anchors[1]
-    plain = sample(oracle, sched, (5, 5, 5), 4, z=z_mix)
-    np.testing.assert_array_equal(out.values, plain.values)
+    plain = sample(oracle, sched, (5, 5, 5), [4], [z_mix])[0]
+    np.testing.assert_array_equal(out.values, plain)
 
 
 def test_part_interpolation_alpha_one_is_replacement():
@@ -333,8 +351,8 @@ def test_replacement_stays_coherent_where_naive_stitch_tears():
                             denoiser_a=oracle, delta_t=10,
                             harmonize_repeats=5)
     out = manipulate(z_a, z_b, plan, rng_seed=21)
-    inv_a = sample(oracle, sched, dims, 21, z=z_a)
-    inv_b = sample(oracle, sched, dims, 21, z=z_b)
+    inv_a, inv_b = (Volume3(row) for row in
+                    sample(oracle, sched, dims, [21, 21], [z_a, z_b]))
     outside = np.abs(out.values - inv_a.values)[~bits]
     assert outside.max() <= 1e-2
     seam_edit = boundary_discontinuity(out, mask)
