@@ -27,9 +27,8 @@ from .formats import read_mask, read_volume, write_json, write_wsv1
 from .grid import Volume3
 from .manipulation import (ManipulationPlan, boundary_discontinuity, manipulate,
                            naive_mix_baseline, read_plan_file)
-from .metrics import (DEFAULT_SURFACE_SAMPLES, chamfer, lfd_percentiles,
-                      retrieve_topk, sample_surface, set_metrics,
-                      silhouette_descriptors)
+from .metrics import (DEFAULT_SURFACE_SAMPLES, lfd_percentiles, retrieve_topk,
+                      sample_surface, set_metrics, silhouette_descriptors)
 from .surface import marching_cubes
 from .tsdf import (MeshSdfSource, TriangleMesh, load_scene, normalize_mesh,
                    read_obj, sample_tsdf, write_obj)
@@ -94,15 +93,11 @@ def _load_shape_volume(path: str, res: int | None) -> Volume3:
 
 
 class _ReconContext:
-    """Corpus-derived machinery for turning coarse volumes into meshes; the
-    model must store the reconstruction data."""
+    """Corpus-derived machinery for turning coarse volumes into meshes."""
 
     def __init__(self, manifest_path: str):
-        self.bundle = b = load_model(manifest_path)
-        if b.detail_predictor is None or b.dims_table is None or b.bank_name is None:
-            raise ValidationError(
-                "model corpus lacks detail volumes / reconstruction metadata")
-        self.template = b.denoiser.volumes[0]
+        self.bundle = load_model(manifest_path)
+        self.template = self.bundle.denoiser.volumes[0]
 
     def to_mesh(self, coarse: Volume3) -> TriangleMesh:
         detail = self.bundle.detail_predictor.predict(coarse)
@@ -177,6 +172,8 @@ def cmd_reconstruct_truncated(args) -> int:
 
 def cmd_generate(args) -> int:
     out = Path(args.out)
+    if args.count < 1:
+        raise ValidationError("--count must be >= 1")
     ctx = _ReconContext(args.model)
     sched = ctx.bundle.sched
     subset = (None if args.ddim_steps is None
@@ -309,7 +306,7 @@ def cmd_eval(args) -> int:
 
     gen_sets = _map_ordered(cloud, list(enumerate(gen_meshes)))
     ref_sets = _map_ordered(cloud, list(enumerate(ref_meshes)))
-    result = set_metrics(gen_sets, ref_sets, base_metric="chamfer")
+    result = set_metrics(gen_sets, ref_sets)
     report = {
         "metrics": result,
         "conventions": [CD_CONVENTION, EMD_CONVENTION, LFD_CONVENTION],
@@ -330,14 +327,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_novelty(args) -> int:
+    if args.k < 1:
+        raise ValidationError("--k must be >= 1")
     gen_paths, gen_meshes = _load_mesh_dir(args.generated)
     train_paths, train_meshes = _load_mesh_dir(args.train)
 
     train_desc = _map_ordered(silhouette_descriptors, train_meshes)
     queries = []
     for qp, qm in zip(gen_paths, gen_meshes):
-        top = retrieve_topk(qm, train_meshes, k=args.k, metric="chamfer",
-                            seed=args.seed)
+        top = retrieve_topk(qm, train_meshes, k=args.k, seed=args.seed)
         qd = silhouette_descriptors(qm)
         lfd_dists = [float(np.abs(qd - td).sum()) for td in train_desc]
         queries.append({

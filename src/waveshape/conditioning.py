@@ -258,10 +258,9 @@ def interpolate_latent(zA, zB, alpha: float) -> LatentCode:
 def write_model_manifest(path, *, encoder_seed: int, latent_length: int,
                          corpus_path: str, tau: float, T: int,
                          beta_start: float, beta_end: float,
-                         encoder_kind: str = "pool-project",
                          pool: int = 8) -> None:
     write_json(path, {
-        "encoder": {"kind": encoder_kind, "seed": int(encoder_seed),
+        "encoder": {"kind": "pool-project", "seed": int(encoder_seed),
                     "pool": int(pool)},
         "latent_length": int(latent_length),
         "corpus": corpus_path,
@@ -273,18 +272,17 @@ def write_model_manifest(path, *, encoder_seed: int, latent_length: int,
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """The generative stack of a model manifest.  The detail predictor, size
-    table and filter-bank name are None when the corpus does not store the
-    reconstruction data."""
+    """The generative stack of a model manifest, with the detail predictor,
+    size table and filter-bank name that turn coarse volumes into fields."""
 
     encoder: EncoderInterface
     denoiser: DenoiserInterface
     sched: NoiseSchedule
     latent_length: int
     manifest_digest: str
-    detail_predictor: DetailPredictorInterface | None = None
-    dims_table: list | None = None
-    bank_name: str | None = None
+    detail_predictor: DetailPredictorInterface
+    dims_table: list
+    bank_name: str
 
 
 def load_model(manifest_path) -> ModelBundle:
@@ -304,8 +302,7 @@ def load_model(manifest_path) -> ModelBundle:
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"model manifest malformed: {exc}") from exc
     oracle, details, dims_table, bank = read_oracle_corpus(corpus_dir, sched=sched)
-    predictor = (None if details is None
-                 else NearestDetailPredictor(list(zip(oracle.volumes, details))))
+    predictor = NearestDetailPredictor(list(zip(oracle.volumes, details)))
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     digest = rng_mod.digest_bytes(canonical.encode())
     return ModelBundle(encoder, oracle, sched, latent_length, digest,

@@ -81,14 +81,6 @@ def make_linear_schedule(T: int = 1000, beta_start: float = 1e-4,
     return NoiseSchedule(betas)
 
 
-def schedule_to_csv(sched: NoiseSchedule, path) -> None:
-    lines = ["t,beta,alpha_bar,sigma"]
-    for t in range(1, sched.T + 1):
-        lines.append(f"{t},{sched.beta(t):.17g},{sched.alpha_bar(t):.17g},"
-                     f"{sched.sigma(t):.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _require_same_dims(a: Volume3, b: Volume3, what: str) -> None:
     if a.dims != b.dims:
         raise ShapeMismatchError(f"{what}: dims {a.dims} vs {b.dims}")
@@ -198,6 +190,12 @@ class GaussianMixtureOracle(DenoiserInterface):
                 f"state shape {C_t.shape} vs (B, *{self.dims}) of components")
         if z is not None and len(z) != len(C_t):
             raise ValidationError(f"{len(z)} codes for {len(C_t)} rows")
+        if z is not None and self.anchors is not None:
+            for zb in z:
+                if zb is not None and np.shape(zb) != self.anchors.shape[1:]:
+                    raise ShapeMismatchError(
+                        f"latent code shape {np.shape(zb)} vs anchor shape "
+                        f"{self.anchors.shape[1:]}")
 
     def posterior_weights(self, C_t: np.ndarray, t: int, z=None) -> np.ndarray:
         """(B, K) posterior component weights, one row per chain state."""
@@ -261,10 +259,13 @@ def chain_stream_name(z) -> str:
 
 
 def default_step_subset(T: int, count: int | None = None) -> tuple[int, ...]:
-    """Evenly spaced decreasing steps from T to 1 (default T // 10 of them)."""
-    count = count if count is not None else max(2, T // 10)
-    count = max(2, min(int(count), T))
-    steps = np.unique(np.round(np.linspace(1, T, count)).astype(np.int64))
+    """Evenly spaced decreasing steps from T to 1 (default T // 10 of them,
+    at least 2); an explicit count must lie in 2..T."""
+    if count is None:
+        count = max(2, T // 10)
+    elif not 2 <= count <= T:
+        raise ValidationError(f"step count {count} outside 2..{T}")
+    steps = np.unique(np.round(np.linspace(1, T, int(count))).astype(np.int64))
     return tuple(int(s) for s in steps[::-1])
 
 
@@ -339,58 +340,40 @@ def sample(denoiser: DenoiserInterface, sched: NoiseSchedule,
     return C
 
 
-def training_loss(denoiser: DenoiserInterface, C0: Volume3,
-                  sched: NoiseSchedule, rng: np.random.Generator, z=None,
-                  t: int | None = None, eps: Volume3 | None = None) -> float:
-    """Voxel-mean squared eps-prediction error at a random (or fixed) step."""
-    if t is None:
-        t = int(rng.integers(1, sched.T + 1))
-    else:
-        t = sched._check_t(t)
-    if eps is None:
-        eps = C0.with_values(rng.standard_normal(C0.dims))
-    _require_same_dims(C0, eps, "training_loss")
-    C_t = q_sample(C0, t, eps, sched)
-    eps_hat = denoiser.predict_eps(C_t.values[None], t, [z])[0]
-    return float(np.mean((eps.values - eps_hat) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # Oracle corpus directory (WSV1 volumes + JSON manifest)
 
 
-def write_oracle_corpus(dir_path, oracle: GaussianMixtureOracle,
-                        details=None, dims_table=None,
-                        bank_name: str | None = None) -> None:
-    """Persist the oracle's components; optionally also one detail volume per
-    component plus the size table and filter-bank name needed to rebuild
-    full-resolution fields from generated coarse volumes."""
+def write_oracle_corpus(dir_path, oracle: GaussianMixtureOracle, details,
+                        dims_table, bank_name: str) -> None:
+    """Persist the oracle's components, one detail volume per component, and
+    the size table and filter-bank name needed to rebuild full-resolution
+    fields from generated coarse volumes."""
     d = Path(dir_path)
     d.mkdir(parents=True, exist_ok=True)
-    if details is not None and len(details) != len(oracle.volumes):
+    if len(details) != len(oracle.volumes):
         raise ValidationError("one detail volume per component required")
     entries = []
     for k, vol in enumerate(oracle.volumes):
         name = f"component_{k:03d}.wsv1"
+        detail_name = f"detail_{k:03d}.wsv1"
         write_wsv1(d / name, vol)
-        entry = {
+        write_wsv1(d / detail_name, details[k])
+        entries.append({
             "path": name,
             "weight": float(oracle.weights[k]),
             "anchor": (None if oracle.anchors is None
                        else [float(x) for x in oracle.anchors[k]]),
-        }
-        if details is not None:
-            detail_name = f"detail_{k:03d}.wsv1"
-            write_wsv1(d / detail_name, details[k])
-            entry["detail_path"] = detail_name
-        entries.append(entry)
-    payload = {"tau": oracle.tau, "components": entries}
-    if dims_table is not None:
-        payload["reconstruction"] = {
+            "detail_path": detail_name,
+        })
+    write_json(d / "corpus.json", {
+        "tau": oracle.tau,
+        "components": entries,
+        "reconstruction": {
             "dims_table": [list(int(x) for x in dims) for dims in dims_table],
             "bank": bank_name,
-        }
-    write_json(d / "corpus.json", payload)
+        },
+    })
 
 
 def read_oracle_corpus(dir_path, sched: NoiseSchedule | None = None):
@@ -398,30 +381,26 @@ def read_oracle_corpus(dir_path, sched: NoiseSchedule | None = None):
 
     Returns ``(oracle, details, dims_table, bank)``: the mixture oracle over
     the stored components, then the per-component detail volumes, the size
-    table and the filter-bank name needed for reconstruction, each None when
-    the corpus does not store it.
+    table and the filter-bank name needed for reconstruction.  Anchors are
+    optional; every entry must name its detail volume and the manifest must
+    carry the ``reconstruction`` block.
     """
     d = Path(dir_path)
     manifest = read_json(d / "corpus.json")
     comps, anchors, details = [], [], []
-    dims_table = bank = None
     try:
         tau = float(manifest["tau"])
         for e in manifest["components"]:
             comps.append((float(e["weight"]), read_volume(d / e["path"])))
             anchors.append(e.get("anchor"))
-            if e.get("detail_path"):
-                details.append(read_volume(d / e["detail_path"]))
+            details.append(read_volume(d / e["detail_path"]))
         has_anchors = all(a is not None for a in anchors) and anchors
         anchors = np.array(anchors, dtype=np.float64) if has_anchors else None
-        recon = manifest.get("reconstruction")
-        if recon:
-            dims_table = [tuple(int(x) for x in dims)
-                          for dims in recon["dims_table"]]
-            bank = recon.get("bank")
+        recon = manifest["reconstruction"]
+        dims_table = [tuple(int(x) for x in dims)
+                      for dims in recon["dims_table"]]
+        bank = recon["bank"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"corpus manifest malformed: {exc!r}") from exc
-    if details and len(details) != len(comps):
-        raise ValidationError("corpus stores detail volumes for only some components")
     oracle = GaussianMixtureOracle(comps, anchors=anchors, tau=tau, sched=sched)
-    return oracle, tuple(details) or None, dims_table, bank
+    return oracle, tuple(details), dims_table, bank

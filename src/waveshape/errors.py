@@ -17,9 +17,5 @@ class ShapeMismatchError(ValidationError):
     """Operands whose grid dims disagree."""
 
 
-class OutOfDomainError(ValidationError):
-    """Query point outside the interpolation domain."""
-
-
 class NumericalError(WaveshapeError):
     """Non-finite values or failed numerical procedure."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfDomainError, ShapeMismatchError, ValidationError
+from .errors import ShapeMismatchError, ValidationError
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -47,9 +47,6 @@ class Volume3:
     def with_values(self, values: np.ndarray) -> "Volume3":
         return Volume3(values, self.origin, self.spacing)
 
-    def voxel_center(self, i: int, j: int, k: int) -> np.ndarray:
-        return np.array(self.origin) + np.array([i, j, k]) * np.array(self.spacing)
-
 
 @dataclass(frozen=True)
 class RegionMask3:
@@ -67,10 +64,6 @@ class RegionMask3:
     def dims(self) -> tuple[int, int, int]:
         return self.bits.shape
 
-    @classmethod
-    def full(cls, dims: tuple[int, int, int], value: bool = False) -> "RegionMask3":
-        return cls(np.full(dims, value, dtype=bool))
-
 
 def masked_combine(a: Volume3, b: Volume3, mask: RegionMask3) -> Volume3:
     """Voxelwise b-where-mask-else-a; origin/spacing copied from a."""
@@ -79,37 +72,3 @@ def masked_combine(a: Volume3, b: Volume3, mask: RegionMask3) -> Volume3:
             f"masked_combine dims disagree: {a.dims} vs {b.dims} vs {mask.dims}"
         )
     return Volume3(np.where(mask.bits, b.values, a.values), a.origin, a.spacing)
-
-
-def _trilinear(v: Volume3, g: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation at (N, 3) grid coordinates, each clamped onto
-    [0, dims - 1]; an axis with a single voxel is constant along it."""
-    hi = np.array(v.dims) - 1
-    g = np.clip(g, 0.0, hi)
-    i0 = np.minimum(np.floor(g).astype(np.int64), np.maximum(hi - 1, 0))
-    fx, fy, fz = (g - i0).T
-    x0, y0, z0 = i0.T
-    x1, y1, z1 = np.minimum(i0 + 1, hi).T
-    c = v.values
-    c00 = c[x0, y0, z0] * (1 - fx) + c[x1, y0, z0] * fx
-    c10 = c[x0, y1, z0] * (1 - fx) + c[x1, y1, z0] * fx
-    c01 = c[x0, y0, z1] * (1 - fx) + c[x1, y0, z1] * fx
-    c11 = c[x0, y1, z1] * (1 - fx) + c[x1, y1, z1] * fx
-    c0 = c00 * (1 - fy) + c10 * fy
-    c1 = c01 * (1 - fy) + c11 * fy
-    return c0 * (1 - fz) + c1 * fz
-
-
-def trilinear_sample(v: Volume3, p) -> float:
-    """Trilinear interpolation of the 8 voxel values surrounding world point p.
-
-    The interpolation domain is the hull of voxel centers; p outside raises
-    OutOfDomainError.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    g = (p - np.array(v.origin)) / np.array(v.spacing)
-    hi = np.array(v.dims) - 1
-    eps = 1e-9
-    if np.any(g < -eps) or np.any(g > hi + eps):
-        raise OutOfDomainError(f"point {p.tolist()} outside grid domain")
-    return float(_trilinear(v, g[None])[0])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -20,8 +19,7 @@ from .diffusion import (DenoiserInterface, NoiseSchedule, _ancestral_step,
 from .errors import ShapeMismatchError, ValidationError
 from .formats import read_json, write_json
 from .grid import RegionMask3, Volume3, masked_combine
-from .wavelet import (WaveletFilterBank, _analyze_axis, _Filter, _lowpass_window,
-                      _synth_up3)
+from .wavelet import WaveletFilterBank, _analyze_axis, _Filter, _lowpass_window
 
 MODES = ("replacement", "part_interpolation", "regeneration",
          "whole_interpolation")
@@ -86,22 +84,6 @@ def mask_to_coefficient_domain(region: RegionMask3, levels: int,
             vals = _analyze_axis(vals, ones, axis, kmin, count)
         vals = (vals > 0.0).astype(np.float64)
     return RegionMask3(vals > 0.0)
-
-
-def coefficient_support_volume(mask: RegionMask3, dims_table,
-                               bank: WaveletFilterBank) -> Volume3:
-    """Reconstruction-domain influence of the marked coarse coefficients.
-
-    Pushes an indicator through the synthesis chain; a nonzero output voxel
-    means some marked coefficient contributes to it.  Complementary voxels
-    are untouched by any edit restricted to the mask.
-    """
-    vals = mask.bits.astype(np.float64)
-    # absolute-value filter so positive and negative taps cannot cancel
-    abs_synth = _Filter(np.abs(bank.synthesis_low.taps), bank.synthesis_low.origin)
-    for j in range(len(dims_table) - 1, 0, -1):
-        vals = np.abs(_synth_up3(vals, dims_table[j - 1], bank, abs_synth))
-    return Volume3(vals)
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,8 @@ def emd_approx(P, Q, method: str = "auto") -> float:
 # Collection-level metrics
 
 
-def set_metrics(generated, reference, base_metric="chamfer") -> dict:
-    """COV, MMD and 1-NNA between two lists of point sets.
+def set_metrics(generated, reference) -> dict:
+    """COV, MMD and 1-NNA between two lists of point sets under chamfer.
 
     COV: fraction of reference shapes that are the nearest reference of at
     least one generated shape.  MMD: mean over reference of the distance to
@@ -140,15 +140,12 @@ def set_metrics(generated, reference, base_metric="chamfer") -> dict:
     """
     if len(generated) == 0 or len(reference) == 0:
         raise ValidationError("set_metrics needs nonempty lists")
-    fn = {"chamfer": chamfer, "emd": emd_approx}.get(base_metric, base_metric)
-    if not callable(fn):
-        raise ValidationError(f"unknown base metric {base_metric!r}")
     pool = list(generated) + list(reference)
     full = np.full((len(pool), len(pool)), np.inf)
     for i in range(len(pool)):
         for j in range(i + 1, len(pool)):
-            full[i, j] = full[j, i] = fn(pool[i], pool[j])
-    cross = full[:len(generated), len(generated):]  # fn(generated, reference)
+            full[i, j] = full[j, i] = chamfer(pool[i], pool[j])
+    cross = full[:len(generated), len(generated):]  # chamfer(generated, reference)
     nearest_ref = np.argmin(cross, axis=1)
     cov = len(set(nearest_ref.tolist())) / len(reference)
     mmd = float(cross.min(axis=0).mean())
@@ -349,22 +346,14 @@ def lfd_percentiles(distances, percentiles=(0, 5, 25, 50, 75, 95, 100)) -> dict:
 
 
 def retrieve_topk(query: TriangleMesh, corpus, k: int = 4,
-                  metric: str = "chamfer", n_samples: int = 512,
-                  seed: int = 0):
-    """Indices of the k nearest corpus meshes, ascending distance with ties
-    broken by index.  Chamfer runs on identically seeded surface samples, so
-    an exact copy retrieves at distance zero."""
+                  n_samples: int = 512, seed: int = 0):
+    """Indices of the k chamfer-nearest corpus meshes, ascending distance with
+    ties broken by index.  Chamfer runs on identically seeded surface
+    samples, so an exact copy retrieves at distance zero."""
     if len(corpus) == 0:
         raise ValidationError("retrieval corpus is empty")
-    if metric == "chamfer":
-        qp = sample_surface(query, n_samples, seed)
-        dists = [chamfer(qp, sample_surface(m, n_samples, seed)) for m in corpus]
-    elif metric == "lfd":
-        qd = silhouette_descriptors(query)
-        dists = [float(np.abs(qd - silhouette_descriptors(m)).sum())
-                 for m in corpus]
-    else:
-        raise ValidationError(f"unknown retrieval metric {metric!r}")
+    qp = sample_surface(query, n_samples, seed)
+    dists = [chamfer(qp, sample_surface(m, n_samples, seed)) for m in corpus]
     order = sorted(range(len(corpus)), key=lambda i: (dists[i], i))
     top = order[:max(0, int(k))] if k < len(corpus) else order
     return [(i, dists[i]) for i in top]

@@ -1,10 +1,8 @@
-"""Isosurface extraction from scalar volumes and mesh post-processing."""
+"""Isosurface extraction from scalar volumes."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ._mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_CORNERS, TRI_TABLE
 from .errors import ValidationError
@@ -72,49 +70,3 @@ def marching_cubes(v: Volume3, iso: float = 0.0) -> TriangleMesh:
     tris = inv[perm].reshape(-1, 3)
     return TriangleMesh(verts, tris)
 
-
-def _vertex_components(m: TriangleMesh) -> np.ndarray:
-    """Component label of every vertex; triangles connect their vertices."""
-    t = m.triangles
-    n = m.num_vertices
-    edges = coo_matrix((np.ones(2 * len(t)),
-                        (np.concatenate([t[:, 0], t[:, 0]]),
-                         np.concatenate([t[:, 1], t[:, 2]]))), shape=(n, n))
-    return connected_components(edges, directed=False)[1]
-
-
-def keep_largest_component(m: TriangleMesh, min_fraction: float = 0.05) -> TriangleMesh:
-    """Drop connected components with < min_fraction of the largest
-    component's triangle count; vertex connectivity defines components."""
-    if m.num_triangles == 0:
-        return m
-    tri_label = _vertex_components(m)[m.triangles[:, 0]]
-    counts = np.bincount(tri_label)
-    keep = counts[tri_label] >= min_fraction * counts.max()
-    tris = m.triangles[keep]
-    used = np.unique(tris)
-    remap = np.full(m.num_vertices, -1, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    return TriangleMesh(m.vertices[used], remap[tris])
-
-
-def mesh_component_count(m: TriangleMesh) -> int:
-    """Connected components among vertices used by a triangle."""
-    if m.num_triangles == 0:
-        return 0
-    return len(np.unique(_vertex_components(m)[np.unique(m.triangles)]))
-
-
-def mesh_stats(m: TriangleMesh) -> dict:
-    box = (
-        [list(map(float, m.vertices.min(axis=0))),
-         list(map(float, m.vertices.max(axis=0)))]
-        if m.num_vertices
-        else [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    )
-    return {
-        "vertices": m.num_vertices,
-        "triangles": m.num_triangles,
-        "components": mesh_component_count(m),
-        "bbox": box,
-    }

@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 from .formats import read_json
-from .grid import Volume3, _trilinear
+from .grid import Volume3
 
 TRUNCATION = 0.1
 NORMALIZED_EXTENT = 1.8  # largest bounding-box edge after normalize_mesh
@@ -169,27 +169,6 @@ class SubtractSource(SdfSource):
     def distance(self, points):
         return np.maximum(self.source_a.distance(points),
                           -self.source_b.distance(points))
-
-
-class GridSdfSource(SdfSource):
-    """Trilinear interpolation of a sampled scalar volume.
-
-    Queries outside the voxel-center hull are clamped onto it; sampled
-    TSDFs are constant (at the clamp value) near the border, so this only
-    matters for the half-voxel margin.
-    """
-
-    def __init__(self, volume: Volume3):
-        self.volume = volume
-
-    def distance(self, points):
-        v = self.volume
-        if min(v.dims) < 2:
-            raise ValidationError("grid too small for trilinear interpolation")
-        p = np.asarray(points, dtype=np.float64)
-        g = (np.atleast_2d(p) - np.array(v.origin)) / np.array(v.spacing)
-        out = _trilinear(v, g)
-        return out[0] if p.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -508,25 +487,6 @@ class MeshSdfSource(SdfSource):
         for axis in range(3):
             votes += _grid_parity(self.mesh, coords, axis)
         return np.where(votes >= 2, -d, d)
-
-
-def mesh_signed_distance(m: TriangleMesh, p) -> float:
-    """Signed distance from a single point to a mesh (index built per mesh)."""
-    src = _mesh_source_cached(m)
-    return float(src.distance(np.asarray(p, dtype=np.float64)))
-
-
-_MESH_SOURCE_CACHE: dict[int, MeshSdfSource] = {}
-
-
-def _mesh_source_cached(m: TriangleMesh) -> MeshSdfSource:
-    key = id(m)
-    src = _MESH_SOURCE_CACHE.get(key)
-    if src is None or src.mesh is not m:
-        src = MeshSdfSource(m)
-        _MESH_SOURCE_CACHE.clear()
-        _MESH_SOURCE_CACHE[key] = src
-    return src
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatchError, ValidationError
-from .formats import MAGIC_VOLUME, _read_wsv1_stream, _write_wsv1_stream
+from .formats import _read_wsv1_stream, _write_wsv1_stream
 from .grid import Volume3
 
 _SQRT2 = math.sqrt(2.0)
@@ -235,11 +235,6 @@ def _lowpass_window(n: int, bank: WaveletFilterBank) -> tuple[int, int]:
     return kmin, count
 
 
-def lowpass_dims(dims: tuple[int, int, int], bank: WaveletFilterBank) -> tuple[int, int, int]:
-    """Per-axis size recurrence n -> floor((n + L - 1)/2)."""
-    return tuple((n + bank.analysis_length - 1) // 2 for n in dims)
-
-
 def _analyze_low3(arr: np.ndarray, bank: WaveletFilterBank) -> np.ndarray:
     for axis in range(3):
         kmin, count = _lowpass_window(arr.shape[axis], bank)
@@ -247,14 +242,13 @@ def _analyze_low3(arr: np.ndarray, bank: WaveletFilterBank) -> np.ndarray:
     return arr
 
 
-def _synth_up3(arr: np.ndarray, target: tuple[int, int, int], bank: WaveletFilterBank,
-               synth: _Filter | None = None) -> np.ndarray:
-    """Upsample-synthesize onto ``target`` with the bank's synthesis low-pass,
-    or with ``synth`` in its place (same tap positions)."""
-    synth = bank.synthesis_low if synth is None else synth
+def _synth_up3(arr: np.ndarray, target: tuple[int, int, int],
+               bank: WaveletFilterBank) -> np.ndarray:
+    """Upsample-synthesize onto ``target`` with the bank's synthesis low-pass."""
     for axis in range(3):
         kmin, _ = _lowpass_window(target[axis], bank)
-        arr = _synth_axis(arr, kmin, target[axis], synth, bank.delay, axis)
+        arr = _synth_axis(arr, kmin, target[axis], bank.synthesis_low,
+                          bank.delay, axis)
     return arr
 
 

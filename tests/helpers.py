@@ -77,6 +77,25 @@ def apply_axis(arr: np.ndarray, axis: int, fn) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
+def coefficient_support(bits: np.ndarray, dims_table, bank) -> np.ndarray:
+    """Reconstruction-domain influence of marked coarse coefficients.
+
+    Pushes the indicator up the pyramid with the absolute synthesis taps, so
+    positive and negative taps cannot cancel: a nonzero output voxel is one
+    that some marked coefficient contributes to.
+    """
+    taps = np.abs(bank.synthesis_low.taps)
+    origin = bank.synthesis_low.origin
+    k0 = math.ceil(-bank.analysis_low.origin / 2)
+    vals = bits.astype(np.float64)
+    for j in range(len(dims_table) - 1, 0, -1):
+        for axis in range(3):
+            n_out = dims_table[j - 1][axis]
+            vals = apply_axis(vals, axis, lambda c: conv_synthesis_1d(
+                c, k0, n_out, taps, origin, bank.delay))
+    return vals
+
+
 # ---------------------------------------------------------------------------
 # Exact Laurent polynomials over rationals (for filter regeneration)
 
@@ -240,6 +259,23 @@ def euler_characteristic(verts: np.ndarray, tris: np.ndarray) -> int:
         for u, v in ((a, b), (b, c), (c, a)):
             edges.add((min(u, v), max(u, v)))
     return len(verts) - len(edges) + len(tris)
+
+
+def component_count(tris: np.ndarray) -> int:
+    """Connected components among the vertices used by a triangle, by
+    union-find over triangle edges."""
+    parent: dict[int, int] = {}
+
+    def find(u: int) -> int:
+        while parent.setdefault(u, u) != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for a, b, c in tris:
+        for u, v in ((a, b), (a, c)):
+            parent[find(int(u))] = find(int(v))
+    return len({find(u) for u in list(parent)})
 
 
 def boundary_edge_count(tris: np.ndarray) -> int:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (MODEL_BANK, MODEL_LATENT, MODEL_LEVELS, MODEL_RES,
-                      model_shapes)
+                      MODEL_T, model_shapes)
 from waveshape import __version__, cli
 from waveshape import tsdf as tsdf_mod
 from waveshape.conditioning import LatentCode, load_model, read_latent, \
@@ -56,10 +56,13 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
-def _model_copy_with_entry(tmp_path, model_manifest, **change):
+def _model_copy_with_entry(tmp_path, model_manifest, reconstruction=True,
+                           **change):
     shutil.copytree(model_manifest.parent, tmp_path / "m")
     corpus = tmp_path / "m" / "corpus" / "corpus.json"
     payload = json.loads(corpus.read_text())
+    if not reconstruction:
+        del payload["reconstruction"]
     entry = payload["components"][0]
     for key, value in change.items():
         if value is None:
@@ -89,6 +92,44 @@ def _obj_with(tmp_path, text):
     return ["prepare", "--obj", path, "--res", 16, "--out", tmp_path / "o"]
 
 
+def _latents_of_length(tmp_path, n):
+    """Two latent files of n entries, which the model's anchors do not match."""
+    for name, value in (("za.json", 0.5), ("zb.json", -0.5)):
+        write_latent(tmp_path / name, LatentCode(np.full(n, value)))
+    return tmp_path / "za.json", tmp_path / "zb.json"
+
+
+def _interpolate_with_latents(tmp_path, model_manifest, n):
+    za, zb = _latents_of_length(tmp_path, n)
+    return ["interpolate", "--za", za, "--zb", zb, "--steps", 2,
+            "--model", model_manifest, "--out", tmp_path / "o"]
+
+
+def _manipulate_with_latents(tmp_path, model_manifest, n):
+    _latents_of_length(tmp_path, n)
+    bits = np.zeros((12, 12, 12), dtype=bool)
+    bits[:, :, 6:] = True
+    write_wsv1(tmp_path / "mask.wsv1", RegionMask3(bits))
+    write_plan_file(tmp_path / "plan.json", mode="replacement",
+                    mask_path="mask.wsv1", harmonize_repeats=1,
+                    z_a_path="za.json", z_b_path="zb.json", seed=1)
+    return ["manipulate", "--plan", tmp_path / "plan.json",
+            "--model", model_manifest, "--out", tmp_path / "o"]
+
+
+def _novelty_with_k(tmp_path, k):
+    meshes = tmp_path / "meshes"
+    meshes.mkdir()
+    tsdf_mod.write_obj(meshes / "a.obj", tsdf_mod.icosphere(1, 0.5))
+    return ["novelty", "--generated", meshes, "--train", meshes, "--k", k,
+            "--out", tmp_path / "o"]
+
+
+def _generate_with(tmp_path, model_manifest, *flags):
+    return ["generate", "--model", model_manifest, *flags,
+            "--out", tmp_path / "o"]
+
+
 MALFORMED = {
     "obj-vertex-token": lambda tmp, _: _obj_with(
         tmp, "v 0 0 0\nv 1 0 x\nv 0 1 0\nf 1 2 3\n"),
@@ -104,6 +145,23 @@ MALFORMED = {
         tmp, m, path=None),
     "corpus-entry-weight": lambda tmp, m: _model_copy_with_entry(
         tmp, m, weight="heavy"),
+    "corpus-entry-detail-path": lambda tmp, m: _model_copy_with_entry(
+        tmp, m, detail_path=None),
+    "corpus-no-reconstruction": lambda tmp, m: _model_copy_with_entry(
+        tmp, m, reconstruction=False),
+    "latent-length-1-interpolate": lambda tmp, m: _interpolate_with_latents(
+        tmp, m, 1),
+    "latent-length-3-interpolate": lambda tmp, m: _interpolate_with_latents(
+        tmp, m, 3),
+    "latent-length-3-manipulate": lambda tmp, m: _manipulate_with_latents(
+        tmp, m, 3),
+    "novelty-k-0": lambda tmp, _: _novelty_with_k(tmp, 0),
+    "novelty-k-negative": lambda tmp, _: _novelty_with_k(tmp, -1),
+    "generate-ddim-steps-0": lambda tmp, m: _generate_with(
+        tmp, m, "--ddim-steps", 0),
+    "generate-ddim-steps-above-T": lambda tmp, m: _generate_with(
+        tmp, m, "--ddim-steps", MODEL_T + 1),
+    "generate-count-0": lambda tmp, m: _generate_with(tmp, m, "--count", 0),
 }
 
 

@@ -2,6 +2,7 @@
 sampling determinism.  The posterior is cross-checked against a log-space
 fsum re-derivation and the schedule against exact rational recomputation."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -9,16 +10,14 @@ import numpy as np
 import pytest
 
 import helpers
-from waveshape.diffusion import (DenoiserInterface, GaussianMixtureOracle,
+from waveshape.diffusion import (GaussianMixtureOracle,
                                  NoiseSchedule, chain_stream_name,
                                  default_step_subset, make_linear_schedule,
                                  p_step, q_sample, read_oracle_corpus,
-                                 sample, schedule_to_csv, training_loss,
-                                 write_oracle_corpus)
+                                 sample, write_oracle_corpus)
 from waveshape.errors import (NumericalError, ShapeMismatchError,
                               ValidationError)
 from waveshape.grid import Volume3
-from waveshape.rng import stream
 
 
 def _vol(seed, dims=(4, 4, 4)):
@@ -77,21 +76,6 @@ def test_schedule_validation():
         NoiseSchedule(np.array([0.1]))
     with pytest.raises(ValidationError):
         NoiseSchedule(np.array([0.1, 1.0]))
-
-
-def test_schedule_to_csv_round_trips_floats(tmp_path):
-    s = make_linear_schedule(12)
-    path = tmp_path / "sched.csv"
-    schedule_to_csv(s, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,beta,alpha_bar,sigma"
-    assert len(lines) == 13
-    for line in lines[1:]:
-        t, beta, abar, sigma = line.split(",")
-        t = int(t)
-        assert float(beta) == s.beta(t)
-        assert float(abar) == s.alpha_bar(t)
-        assert float(sigma) == s.sigma(t)
 
 
 # ---------------------------------------------------------------------------
@@ -403,41 +387,6 @@ def test_sample_rejects_bad_subsets():
 
 
 # ---------------------------------------------------------------------------
-# Training objective
-
-
-class _ZeroDenoiser(DenoiserInterface):
-    def predict_eps(self, C_t, t, z=None):
-        return np.zeros(C_t.shape)
-
-
-def test_training_loss_zero_denoiser_equals_eps_power():
-    sched = make_linear_schedule(10)
-    C0 = _vol(17)
-    eps = _vol(18)
-    loss = training_loss(_ZeroDenoiser(), C0, sched,
-                         stream(0, "unused"), t=5, eps=eps)
-    assert loss == pytest.approx(float(np.mean(eps.values ** 2)), abs=1e-15)
-
-
-def test_training_loss_perfect_oracle_is_tiny():
-    sched = make_linear_schedule(10)
-    X = _vol(19)
-    oracle = GaussianMixtureOracle([(1.0, X)], sched=sched)
-    loss = training_loss(oracle, X, sched, stream(1, "loss"), t=5)
-    assert loss <= 1e-18
-
-
-def test_training_loss_random_step_is_reproducible():
-    sched = make_linear_schedule(10)
-    X = _vol(20)
-    oracle = GaussianMixtureOracle([(1.0, X)], sched=sched)
-    a = training_loss(oracle, X, sched, stream(2, "loss"))
-    b = training_loss(oracle, X, sched, stream(2, "loss"))
-    assert a == b
-
-
-# ---------------------------------------------------------------------------
 # Corpus directory round trip
 
 
@@ -469,20 +418,35 @@ def test_corpus_round_trip(tmp_path):
 
 
 def test_corpus_without_optional_parts(tmp_path):
+    # Anchors are the one optional part; detail volumes and the
+    # reconstruction block are required.
     X = _vol(22, dims=(5, 5, 5))
-    oracle = GaussianMixtureOracle([(1.0, X)])
-    write_oracle_corpus(tmp_path, oracle)
-    back, details, dims_table, bank = read_oracle_corpus(tmp_path)
-    assert back.anchors is None
-    assert details is None
-    assert dims_table is None and bank is None
+    oracle = GaussianMixtureOracle([(0.5, X), (0.5, X.with_values(-X.values))])
+    write_oracle_corpus(tmp_path, oracle, details=[X, X],
+                        dims_table=((9, 9, 9), (5, 5, 5)), bank_name="haar")
+    back, details, _, _ = read_oracle_corpus(tmp_path)
+    assert back.anchors is None  # anchors stay optional
+    assert len(details) == 2
+    manifest = tmp_path / "corpus.json"
+    payload = json.loads(manifest.read_text())
+    detail = payload["components"][1].pop("detail_path")
+    manifest.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError):
+        read_oracle_corpus(tmp_path)
+    payload["components"][1]["detail_path"] = detail
+    del payload["reconstruction"]
+    manifest.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError):
+        read_oracle_corpus(tmp_path)
 
 
 def test_corpus_detail_count_mismatch(tmp_path):
     X = _vol(23, dims=(5, 5, 5))
     oracle = GaussianMixtureOracle([(1.0, X)])
     with pytest.raises(ValidationError):
-        write_oracle_corpus(tmp_path, oracle, details=[X, X])
+        write_oracle_corpus(tmp_path, oracle, details=[X, X],
+                            dims_table=((9, 9, 9), (5, 5, 5)),
+                            bank_name="haar")
 
 
 def test_corpus_malformed_manifest(tmp_path):

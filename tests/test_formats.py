@@ -43,7 +43,7 @@ def test_dtype_tags_on_disk(tmp_path):
         write_wsv1(path, v, wide=wide)
         assert path.read_bytes()[offset] == tag
     mpath = tmp_path / "mask.wsv1"
-    write_wsv1(mpath, RegionMask3.full((2, 2, 2), True))
+    write_wsv1(mpath, RegionMask3(np.ones((2, 2, 2))))
     assert mpath.read_bytes()[offset] == DTYPE_U8
 
 
@@ -69,7 +69,7 @@ def test_type_guards(tmp_path):
     vpath = tmp_path / "v.wsv1"
     write_wsv1(vpath, _random_volume())
     mpath = tmp_path / "m.wsv1"
-    write_wsv1(mpath, RegionMask3.full((2, 2, 2), True))
+    write_wsv1(mpath, RegionMask3(np.ones((2, 2, 2))))
     with pytest.raises(ValidationError):
         read_mask(vpath)
     with pytest.raises(ValidationError):

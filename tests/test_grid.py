@@ -1,12 +1,10 @@
-"""Volume/mask containers, masked combination, and trilinear interpolation."""
+"""Volume/mask containers and masked combination."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from waveshape.errors import OutOfDomainError, ShapeMismatchError, ValidationError
-from waveshape.grid import RegionMask3, Volume3, masked_combine, trilinear_sample
+from waveshape.errors import ShapeMismatchError, ValidationError
+from waveshape.grid import RegionMask3, Volume3, masked_combine
 
 
 def test_volume_freezes_and_copies_to_float64():
@@ -27,12 +25,6 @@ def test_volume_rejects_bad_inputs():
         Volume3(np.zeros((2, 2, 2)), spacing=(1.0, 0.0, 1.0))
 
 
-def test_voxel_center_uses_origin_plus_index_times_spacing():
-    v = Volume3(np.zeros((3, 4, 5)), origin=(-1.0, 2.0, 0.5), spacing=(0.5, 0.25, 2.0))
-    np.testing.assert_allclose(v.voxel_center(0, 0, 0), [-1.0, 2.0, 0.5])
-    np.testing.assert_allclose(v.voxel_center(2, 3, 4), [-1.0 + 1.0, 2.0 + 0.75, 0.5 + 8.0])
-
-
 def test_with_values_keeps_geometry():
     v = Volume3(np.zeros((2, 3, 4)), origin=(1.0, 2.0, 3.0), spacing=(0.1, 0.2, 0.3))
     w = v.with_values(np.ones((2, 3, 4)))
@@ -41,11 +33,11 @@ def test_with_values_keeps_geometry():
 
 
 def test_mask_full_and_freeze():
-    m = RegionMask3.full((2, 2, 2), True)
-    assert bool(m.bits.all())
+    m = RegionMask3(np.ones((2, 2, 2)))
+    assert m.bits.dtype == bool and bool(m.bits.all())
     with pytest.raises(ValueError):
         m.bits[0, 0, 0] = False
-    assert RegionMask3.full((2, 2, 2)).bits.sum() == 0
+    assert RegionMask3(np.zeros((2, 2, 2))).bits.sum() == 0
 
 
 def test_masked_combine_selects_b_inside_mask():
@@ -63,42 +55,5 @@ def test_masked_combine_shape_mismatch():
     a = Volume3(np.zeros((2, 2, 2)))
     b = Volume3(np.zeros((2, 2, 3)))
     with pytest.raises(ShapeMismatchError):
-        masked_combine(a, b, RegionMask3.full((2, 2, 2)))
+        masked_combine(a, b, RegionMask3(np.zeros((2, 2, 2))))
 
-
-def test_trilinear_exact_at_voxel_centers():
-    gen = np.random.default_rng(3)
-    v = Volume3(gen.standard_normal((4, 5, 6)), origin=(-1.0, 0.0, 2.0),
-                spacing=(0.5, 0.25, 0.125))
-    for idx in [(0, 0, 0), (3, 4, 5), (1, 2, 3)]:
-        p = v.voxel_center(*idx)
-        assert trilinear_sample(v, p) == pytest.approx(float(v.values[idx]), abs=1e-12)
-
-
-def test_trilinear_linear_along_axis():
-    vals = np.zeros((3, 1, 1))
-    vals[:, 0, 0] = [1.0, 3.0, 7.0]
-    v = Volume3(vals, origin=(0.0, 0.0, 0.0), spacing=(1.0, 1.0, 1.0))
-    assert trilinear_sample(v, (0.25, 0.0, 0.0)) == pytest.approx(1.5)
-    assert trilinear_sample(v, (1.5, 0.0, 0.0)) == pytest.approx(5.0)
-
-
-def test_trilinear_outside_domain_raises():
-    v = Volume3(np.zeros((2, 2, 2)))
-    with pytest.raises(OutOfDomainError):
-        trilinear_sample(v, (-0.5, 0.0, 0.0))
-    with pytest.raises(OutOfDomainError):
-        trilinear_sample(v, (0.0, 0.0, 1.5))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)),
-       st.integers(0, 2 ** 31 - 1))
-def test_trilinear_bounded_by_cell_corners(frac, seed):
-    gen = np.random.default_rng(seed)
-    v = Volume3(gen.standard_normal((3, 3, 3)))
-    p = np.array(frac) * 2.0
-    got = trilinear_sample(v, p)
-    lo = np.floor(np.clip(p, 0, 1)).astype(int)
-    cell = v.values[lo[0]:lo[0] + 2, lo[1]:lo[1] + 2, lo[2]:lo[2] + 2]
-    assert cell.min() - 1e-12 <= got <= cell.max() + 1e-12

@@ -4,7 +4,7 @@ dual-chain edit loop."""
 import numpy as np
 import pytest
 
-from helpers import reflect_index
+from helpers import coefficient_support, reflect_index
 from waveshape import rng as rng_mod
 from waveshape.diffusion import (GaussianMixtureOracle, make_linear_schedule,
                                  sample)
@@ -12,8 +12,7 @@ from waveshape.errors import (NumericalError, ShapeMismatchError,
                               ValidationError)
 from waveshape.grid import RegionMask3, Volume3, masked_combine
 from waveshape.manipulation import (MODES, ManipulationPlan,
-                                    boundary_discontinuity,
-                                    coefficient_support_volume, harmonize,
+                                    boundary_discontinuity, harmonize,
                                     manipulate, mask_to_coefficient_domain,
                                     naive_mix_baseline, read_plan_file,
                                     write_plan_file)
@@ -124,9 +123,9 @@ def test_coefficient_support_covers_marked_region():
     pyr = pyramid_decompose(Volume3(np.zeros(dims)), J=2, bank=bank)
     coarse_mask = mask_to_coefficient_domain(region, 2, bank)
     assert coarse_mask.dims == pyr.coarse.dims
-    support = coefficient_support_volume(coarse_mask, pyr.dims_table, bank)
-    assert support.dims == dims
-    assert np.all(support.values[bits] > 0.0)
+    support = coefficient_support(coarse_mask.bits, pyr.dims_table, bank)
+    assert support.shape == dims
+    assert np.all(support[bits] > 0.0)
 
 
 # ---------------------------------------------------------------------------

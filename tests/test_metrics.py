@@ -162,14 +162,11 @@ def test_set_metrics_unmatched_reference_lowers_coverage():
     assert out["COV"] == pytest.approx(0.75)
 
 
-def test_set_metrics_validation_and_emd_base():
+def test_set_metrics_validation():
     with pytest.raises(ValidationError):
         set_metrics([], [_cloud(1)])
     with pytest.raises(ValidationError):
-        set_metrics([_cloud(1)], [_cloud(2)], base_metric="nope")
-    shapes = [_cloud(s, 6) + 3.0 * s for s in range(3)]
-    out = set_metrics(shapes, shapes, base_metric="emd")
-    assert out == {"COV": 1.0, "MMD": 0.0, "1-NNA": 0.0}
+        set_metrics([_cloud(1)], [])
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +316,10 @@ def _box_mesh():
     return TriangleMesh(corners.astype(np.float64), faces)
 
 
-def test_retrieve_topk_bounds_and_lfd_metric():
+def test_retrieve_topk_bounds():
     corpus = [icosphere(1, 0.3), _box_mesh()]
     assert retrieve_topk(corpus[0], corpus, k=10) == \
         retrieve_topk(corpus[0], corpus, k=2)
     assert retrieve_topk(corpus[0], corpus, k=0) == []
-    top = retrieve_topk(corpus[1], corpus, k=1, metric="lfd")
-    assert top[0][0] == 1 and top[0][1] == 0.0
     with pytest.raises(ValidationError):
         retrieve_topk(corpus[0], [], k=1)
-    with pytest.raises(ValidationError):
-        retrieve_topk(corpus[0], corpus, k=1, metric="vibes")

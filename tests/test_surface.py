@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 import helpers
 from waveshape.errors import ValidationError
 from waveshape.grid import Volume3
-from waveshape.surface import (keep_largest_component, marching_cubes,
-                               mesh_component_count, mesh_stats)
+from waveshape.surface import marching_cubes
 from waveshape.tsdf import SphereSource, TorusSource, UnionSource, sample_tsdf
 
 from waveshape.surface import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
@@ -233,29 +232,4 @@ def two_spheres_mesh():
 
 
 def test_component_count(two_spheres_mesh):
-    assert mesh_component_count(two_spheres_mesh) == 2
-
-
-def test_keep_largest_component_drops_small(two_spheres_mesh):
-    kept = keep_largest_component(two_spheres_mesh, min_fraction=0.5)
-    assert mesh_component_count(kept) == 1
-    assert kept.num_triangles < two_spheres_mesh.num_triangles
-    # every kept vertex belongs to the big sphere around x = -0.45
-    assert kept.vertices[:, 0].max() < 0.2
-
-
-def test_keep_largest_component_can_keep_all(two_spheres_mesh):
-    kept = keep_largest_component(two_spheres_mesh, min_fraction=0.001)
-    assert mesh_component_count(kept) == 2
-    assert kept.num_triangles == two_spheres_mesh.num_triangles
-
-
-def test_mesh_stats_fields(two_spheres_mesh):
-    stats = mesh_stats(two_spheres_mesh)
-    assert stats["vertices"] == two_spheres_mesh.num_vertices
-    assert stats["triangles"] == two_spheres_mesh.num_triangles
-    assert stats["components"] == 2
-    np.testing.assert_allclose(stats["bbox"][0],
-                               two_spheres_mesh.vertices.min(axis=0))
-    np.testing.assert_allclose(stats["bbox"][1],
-                               two_spheres_mesh.vertices.max(axis=0))
+    assert helpers.component_count(two_spheres_mesh.triangles) == 2

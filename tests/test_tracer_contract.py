@@ -10,6 +10,9 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +83,17 @@ def test_traced_hooks_exist(target):
 @pytest.mark.parametrize("metric", sorted(CALL_KEYED))
 def test_layer_metric_names_a_live_function(metric):
     assert any(_key_exists(k) for k in CALL_KEYED[metric]), CALL_KEYED[metric]
+
+
+def test_import_waveshape_loads_every_traced_module():
+    # Tracer.install() runs ``import waveshape`` and then reads each traced
+    # module from sys.modules, so the package import must load them all.
+    code = ("import sys, waveshape; print(' '.join(sorted(m for m in "
+            "sys.modules if m.startswith('waveshape.'))))")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert {f"waveshape.{m}" for m in tracer.MODULES} <= set(loaded)

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 import helpers
 from waveshape.errors import ValidationError
-from waveshape.grid import Volume3
 from waveshape.surface import marching_cubes
 from waveshape.tsdf import (NORMALIZED_EXTENT, TRUNCATION, BoxSource,
-                            CapsuleSource, GridSdfSource, IntersectSource,
-                            MeshSdfSource, SphereSource, SubtractSource,
-                            TorusSource, TriangleMesh, UnionSource, grid_axis,
-                            icosphere, mesh_signed_distance, normalize_mesh,
+                            CapsuleSource, IntersectSource, MeshSdfSource,
+                            SphereSource, SubtractSource, TorusSource,
+                            TriangleMesh, UnionSource, grid_axis, icosphere,
+                            normalize_mesh,
                             _grid_parity, _parity_along_axis,
                             _point_triangle_dist2, read_obj, sample_tsdf,
                             scene_from_dict, write_obj)
@@ -141,23 +140,6 @@ def test_sample_tsdf_rejects_tiny_resolution():
         sample_tsdf(SphereSource((0, 0, 0), 0.5), 7)
 
 
-def test_grid_source_idempotent_at_same_resolution():
-    vol = sample_tsdf(SphereSource((0.1, 0.0, 0.0), 0.5), 12)
-    again = sample_tsdf(GridSdfSource(vol), 12)
-    np.testing.assert_allclose(again.values, vol.values, atol=1e-12)
-
-
-def test_grid_source_interpolates_linearly_between_centers():
-    vals = np.zeros((8, 8, 8))
-    vals[4, :, :] = 0.08
-    vol = Volume3(vals, origin=(-1 + 0.125, -1 + 0.125, -1 + 0.125),
-                  spacing=(0.25, 0.25, 0.25))
-    src = GridSdfSource(vol)
-    x3 = vol.origin[0] + 3 * 0.25
-    mid = src.distance(np.array([[x3 + 0.125, 0.0, 0.0]]))[0]
-    assert mid == pytest.approx(0.04, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Mesh-backed signed distance
 
@@ -175,18 +157,20 @@ def test_icosphere_vertices_on_radius(unit_icosphere):
 
 def test_mesh_distance_matches_sphere(unit_icosphere):
     # facet error of a level-3 geodesic sphere is below 5e-3 at r=0.5
+    src = MeshSdfSource(unit_icosphere)
     pts = _random_points(11, n=40, scale=0.9)
     for p in pts:
-        got = mesh_signed_distance(unit_icosphere, p)
+        got = src.distance(p)
         expect = float(np.linalg.norm(p)) - 0.5
         assert got == pytest.approx(expect, abs=8e-3)
 
 
 def test_mesh_sign_inside_outside(unit_icosphere):
-    assert mesh_signed_distance(unit_icosphere, (0.0, 0.0, 0.0)) < 0
-    assert mesh_signed_distance(unit_icosphere, (0.2, 0.1, -0.1)) < 0
-    assert mesh_signed_distance(unit_icosphere, (0.9, 0.0, 0.0)) > 0
-    assert mesh_signed_distance(unit_icosphere, (0.5, 0.5, 0.5)) > 0
+    src = MeshSdfSource(unit_icosphere)
+    assert src.distance((0.0, 0.0, 0.0)) < 0
+    assert src.distance((0.2, 0.1, -0.1)) < 0
+    assert src.distance((0.9, 0.0, 0.0)) > 0
+    assert src.distance((0.5, 0.5, 0.5)) > 0
 
 
 def test_mesh_tsdf_matches_analytic_sphere(unit_icosphere):
@@ -202,7 +186,7 @@ def test_mesh_grid_parity_agrees_with_pointwise(unit_icosphere):
     gen = np.random.default_rng(13)
     for _ in range(20):
         i, j, k = gen.integers(0, 16, size=3)
-        d = mesh_signed_distance(unit_icosphere, (ax[i], ax[j], ax[k]))
+        d = src.distance((ax[i], ax[j], ax[k]))
         expect = min(max(d, -TRUNCATION), TRUNCATION)
         assert float(vol.values[i, j, k]) == pytest.approx(expect, abs=1e-9)
 
